@@ -3,9 +3,11 @@
 A finitely generated subgroup of GL_n is completely reducible exactly when
 the natural module is a direct sum of irreducibles, which this engine
 decides by exact linear algebra: composition series via spinning, invariant
-complements via an equivariant-projection feasibility system, witnesses as
-flags whose named member has no invariant complement, and semisimplification
-as the limit under a flag-adapted cocharacter.
+complements via the Sylvester system A X - X C = -B of the generators in a
+basis adapted to the subspace (with a canonical choice among its
+solutions), witnesses as flags whose named member has no invariant
+complement, and semisimplification as the limit under a flag-adapted
+cocharacter.
 
 F_q and the rationals are perfect, so deciding over the base field agrees
 with the algebraically closed notion for the module criterion.
@@ -21,16 +23,17 @@ from .cochar import (Cocharacter, cocharacter_from_flag, limit_tuple,
                      parabolic_of)
 from .instability import WeightSet, optimal_cocharacter, support_of_tuple
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Field, Matrix,
-                     MatrixTuple, Subspace, commutant, kernel_basis,
-                     solve_affine, span_basis, spin)
+                     MatrixTuple, Subspace, commutant, kernel_basis, rref,
+                     solve_affine, span_basis, spin, sylvester_rows)
 
 
 @dataclass(frozen=True)
 class ModuleDecomposition:
     """Composition series 0 = V_0 < ... < V_s = V with split diagnostics.
 
-    step_split[i] records whether the proper member V_{i+1} has an invariant
-    complement in V; the module is semisimple iff every step splits.
+    complements[i] is the canonical invariant complement of the proper
+    member V_{i+1} in V, or None; step_split[i] records whether it exists,
+    and the module is semisimple iff every step splits.
     factor_commutant_dims hold the commutant dimension of each factor action
     (1 means absolutely irreducible).
     """
@@ -39,6 +42,7 @@ class ModuleDecomposition:
     step_split: tuple             # bools, one per proper nonzero member
     semisimple: bool
     factor_commutant_dims: tuple
+    complements: tuple            # Subspace or None, one per proper member
 
     @property
     def factor_dims(self) -> tuple:
@@ -65,12 +69,79 @@ def _stable_under(comps: Sequence[Matrix], sub: Subspace) -> bool:
                for c in comps for row in sub.basis.entries)
 
 
+def _verify_complement(h: MatrixTuple, w: Subspace, comp: Subspace) -> None:
+    """Re-verify an invariant complement: exhaustive, transverse and stable.
+
+    Raises AssertionError explicitly, so the check survives python -O.
+    """
+    if comp.dim + w.dim != h.dim:
+        raise AssertionError("complement has the wrong dimension")
+    if not w.add(comp).is_full:
+        raise AssertionError("complement is not transverse to the subspace")
+    if not _stable_under(h.components, comp):
+        raise AssertionError("complement is not invariant")
+
+
+def _projection(w: Subspace, nonpiv: Sequence[int], x: Sequence,
+                affine: bool) -> list:
+    """Entries pi[i][j], at i*n + j, of the projection onto w along the
+    complement that a solution x of the Sylvester system names.
+
+    pi e_j = -sum_b X[b][j] w_b for non-pivot j, and pi is the identity on
+    w, so pi e_{p_a} = w_a - sum_j w_a[j] pi e_j.  With affine False this is
+    the linear part alone (the identity on w dropped).
+    """
+    field, n = w.field, w.ambient
+    rows, m = w.basis.entries, len(nonpiv)
+    col = {}
+    for jj, j in enumerate(nonpiv):
+        col[j] = [-sum(x[b * m + jj] * wb[i] for b, wb in enumerate(rows))
+                  for i in range(n)]
+    for wa, pa in zip(rows, w.pivots):
+        col[pa] = [(wa[i] if affine else 0)
+                   - sum(wa[j] * col[j][i] for j in nonpiv) for i in range(n)]
+    return [field(col[j][i]) for i in range(n) for j in range(n)]
+
+
+def _canonical_solution(w: Subspace, nonpiv: Sequence[int], x0: Sequence,
+                        kern: Sequence) -> tuple:
+    """The Sylvester solution whose projection vanishes at the free
+    positions of the n^2-unknown projection system.
+
+    That system's solutions are the projections of the Sylvester solutions,
+    and its kernel is the image of the Sylvester kernel.  A column of its
+    RREF is free iff some kernel vector has its last nonzero entry there, so
+    the free positions are the pivots of the kernel images' RREF taken on
+    reversed columns; fixing pi to zero there is a k x k system.
+    """
+    if not kern:
+        return tuple(x0)
+    field, nn = w.field, w.ambient ** 2
+    lin = [_projection(w, nonpiv, k, False) for k in kern]
+    rev = Matrix(field, len(lin), nn, tuple(tuple(reversed(v)) for v in lin))
+    free = [nn - 1 - c for c in rref(rev)[1]]
+    base = _projection(w, nonpiv, x0, True)
+    coef = Matrix(field, len(free), len(kern),
+                  tuple(tuple(v[f] for v in lin) for f in free))
+    t = solve_affine(coef, [field.neg(base[f]) for f in free])[0]
+    return tuple(field(x + sum(tk * k[i] for tk, k in zip(t, kern)))
+                 for i, x in enumerate(x0))
+
+
 def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
     """Invariant complement of an invariant subspace, or None.
 
-    Existence is equivalent to feasibility of a linear system for an
-    equivariant projection pi with image w and pi|_w = id; the complement is
-    ker pi, which is checked to be stable, transverse and exhaustive.
+    Let d = dim w, with RREF rows w_b at pivots p_b, and N the non-pivot
+    coordinates.  In the basis (w_1..w_d, e_j for j in N) every generator
+    is [[A, B], [0, C]]: A[b][c] is entry p_b of h w_c, B[b][j] is entry
+    p_b of column j of h, and C is the action on V/w modelled on N.  The
+    invariant complements are span{e_j + sum_b X[b][j] w_b} for the
+    solutions X of the Sylvester system A X - X C = -B, which has d(n-d)
+    unknowns.  The one returned is canonical: ker pi_0, where pi_0 is the
+    equivariant projection onto w that vanishes at the free positions of
+    the n^2-unknown system for such projections (pi h = h pi, pi|_w = id,
+    im pi in w).  The complement is re-verified to be stable, transverse
+    and exhaustive.
     """
     n = h.dim
     field = h.field
@@ -79,49 +150,31 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
     if not _stable_under(h.components, w):
         raise ValueError("subspace is not invariant")
 
+    d, rows, piv = w.dim, w.basis.entries, w.pivots
+    pivset = set(piv)
+    nonpiv = [j for j in range(n) if j not in pivset]
+    m = len(nonpiv)
     acts = span_basis(h.components)
-    rows = []
+    pairs = []
     rhs = []
-    zero = field.zero
-    # pi h = h pi for every (span-reduced) generator
-    for hm in acts:
-        he = hm.entries
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = field.add(row[i * n + k], he[k][j])
-                    row[k * n + j] = field.sub(row[k * n + j], he[i][k])
-                rows.append(tuple(row))
-                rhs.append(zero)
-    # pi fixes w pointwise
-    for wrow in w.basis.entries:
-        for i in range(n):
-            row = [zero] * (n * n)
-            for j in range(n):
-                row[i * n + j] = wrow[j]
-            rows.append(tuple(row))
-            rhs.append(wrow[i])
-    # image of pi inside w: annihilating functionals kill every column
-    for f in kernel_basis(w.basis):
-        for j in range(n):
-            row = [zero] * (n * n)
-            for i in range(n):
-                row[i * n + j] = f[i]
-            rows.append(tuple(row))
-            rhs.append(zero)
-
-    system = Matrix(field, len(rows), n * n, tuple(rows))
-    sol = solve_affine(system, rhs)
+    for hm, c in zip(acts, _quotient_action(acts, w)[0]):
+        hw = [hm.apply(row) for row in rows]
+        a = tuple(tuple(hw[k][pb] for k in range(d)) for pb in piv)
+        pairs.append((Matrix(field, d, d, a), c))
+        rhs.extend(field.neg(hm.entries[pb][j]) for pb in piv for j in nonpiv)
+    system = sylvester_rows(pairs)
+    sol = solve_affine(Matrix(field, len(system), d * m, tuple(system)), rhs)
     if sol is None:
         return None
-    x = sol[0]
-    pi = Matrix(field, n, n, tuple(tuple(x[i * n + j] for j in range(n))
-                                   for i in range(n)))
-    comp = Subspace.from_vectors(field, n, kernel_basis(pi))
-    assert comp.dim + w.dim == n
-    assert comp.intersect(w).is_zero
-    assert _stable_under(h.components, comp)
+    x = _canonical_solution(w, nonpiv, *sol)
+    vecs = []
+    for jj, j in enumerate(nonpiv):
+        v = [field(sum(x[b * m + jj] * wb[i] for b, wb in enumerate(rows)))
+             for i in range(n)]
+        v[j] = field.add(v[j], field.one)
+        vecs.append(v)
+    comp = Subspace.from_vectors(field, n, vecs)
+    _verify_complement(h, w, comp)
     return comp
 
 
@@ -224,10 +277,10 @@ def composition_series(h: MatrixTuple) -> ModuleDecomposition:
         vecs = list(cur.basis.entries) + [lift(row) for row in sub.basis.entries]
         cur = Subspace.from_vectors(field, n, vecs)
         series.append(cur)
-    splits = tuple(has_invariant_complement(h, v) is not None
-                   for v in series[1:-1])
+    complements = tuple(has_invariant_complement(h, v) for v in series[1:-1])
+    splits = tuple(c is not None for c in complements)
     return ModuleDecomposition(tuple(series), splits, all(splits),
-                               tuple(factor_comm))
+                               tuple(factor_comm), complements)
 
 
 def is_completely_reducible(h: MatrixTuple):

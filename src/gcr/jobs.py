@@ -16,7 +16,7 @@ from typing import Optional
 from . import engine, selftest
 from .cochar import Cocharacter, limit_conj, limit_tuple
 from .instability import InstabilityReport, WeightSet, optimal_cocharacter
-from .linalg import DEFAULT_BUDGET, Field, Matrix, MatrixTuple, Subspace, commutant
+from .linalg import DEFAULT_BUDGET, Field, Matrix, MatrixTuple, Subspace
 
 COMMANDS = ("check", "limit", "optimize", "semisimplify", "borel-tits",
             "witness", "orbit-dim", "selftest")
@@ -257,10 +257,8 @@ def serialize_request(req: JobRequest) -> dict:
 def _run_check(req: JobRequest) -> dict:
     h = req.matrices
     cr, decomp, wit = engine.is_completely_reducible(h)
-    complements = []
-    for member in decomp.series[1:-1]:
-        c = engine.has_invariant_complement(h, member)
-        complements.append(None if c is None else fmt_subspace(c))
+    complements = [None if c is None else fmt_subspace(c)
+                   for c in decomp.complements]
     return {
         "verdict": "completely reducible" if cr else "not completely reducible",
         "series": [fmt_subspace(s) for s in decomp.series],
@@ -323,9 +321,9 @@ def _run_witness(req: JobRequest) -> dict:
 
 def _run_orbit_dim(req: JobRequest) -> dict:
     h = req.matrices
-    cdim = len(commutant(h.components))
-    return {"orbit_dimension": h.dim * h.dim - cdim,
-            "commutant_dimension": cdim}
+    odim = engine.orbit_dimension(h)
+    return {"orbit_dimension": odim,
+            "commutant_dimension": h.dim * h.dim - odim}
 
 
 def _run_selftest(req: JobRequest) -> dict:

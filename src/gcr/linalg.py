@@ -533,6 +533,29 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
     return Subspace.from_vectors(field, n, [row for _, row in rows])
 
 
+def sylvester_rows(pairs) -> list:
+    """Rows of the linear map X -> (A X - X C) for each (A, C) in pairs.
+
+    A is d x d and C is m x m, so X is d x m with X[b][j] the unknown at
+    b*m + j; row b*m + j of each pair's block is entry (b, j) of A X - X C.
+    Commuting (A = C) and intertwining conditions are both of this form.
+    """
+    rows = []
+    for a, c in pairs:
+        f = a.field
+        d, m = a.rows, c.rows
+        ae, ce = a.entries, c.entries
+        for b in range(d):
+            for j in range(m):
+                row = [f.zero] * (d * m)
+                for k in range(d):
+                    row[k * m + j] = ae[b][k]
+                for k in range(m):
+                    row[b * m + k] = f.sub(row[b * m + k], ce[k][j])
+                rows.append(tuple(row))
+    return rows
+
+
 def commutant(gens) -> tuple:
     """Canonical basis of the algebra {a : a h_i = h_i a for all i}."""
     mats = _components(gens)
@@ -543,17 +566,7 @@ def commutant(gens) -> tuple:
     for m in mats:
         if not m.is_square or m.rows != n or m.field != field:
             raise ValueError("generators must be square of equal dimension")
-    acts = span_basis(mats)
-    rows = []
-    for hm in acts:
-        he = hm.entries
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = field.add(row[i * n + k], he[k][j])
-                    row[k * n + j] = field.sub(row[k * n + j], he[i][k])
-                rows.append(tuple(row))
+    rows = sylvester_rows([(hm, hm) for hm in span_basis(mats)])
     m = Matrix(field, len(rows), n * n, tuple(rows))
     sol = Subspace.from_vectors(field, n * n, kernel_basis(m))
     return tuple(Matrix(field, n, n,

@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from gcr.linalg import Field, GF, Matrix, MatrixTuple
+from gcr.linalg import (Field, GF, Matrix, MatrixTuple, Subspace, kernel_basis,
+                        solve_affine, span_basis)
 
 
 # -- raw matrices over F_p ---------------------------------------------------
@@ -185,3 +186,59 @@ def fm_feasible(weights) -> bool:
                 rows.add((tuple(sp * x + sn * y for x, y in zip(ap, an)),
                           sp * bp + sn * bn))
     return all(b <= 0 for _, b in rows)
+
+
+# -- invariant-complement oracle ---------------------------------------------
+
+def all_subspaces(field, n):
+    """Every subspace of F_p^n, sorted by dimension and then basis rows."""
+    vectors = [v for v in itertools.product(range(field.p), repeat=n) if any(v)]
+    seen = {Subspace.zero(field, n)}
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(vectors, k):
+            seen.add(Subspace.from_vectors(field, n, combo))
+    return sorted(seen, key=lambda s: (s.dim, s.basis.entries))
+
+
+def projection_complement(h: MatrixTuple, w: Subspace):
+    """Invariant complement of w as ker pi_0, or None, by the n^2 system.
+
+    pi ranges over the n x n matrices (unknown pi[i][j] at i*n + j) with
+    pi h = h pi for every generator, pi|_w = id and image in w; pi_0 is the
+    solution whose free unknowns are zero.  Test oracle only: the engine
+    solves the smaller Sylvester system and must return this same subspace.
+    """
+    n, field = h.dim, h.field
+    zero = field.zero
+    rows, rhs = [], []
+    for hm in span_basis(h.components):
+        he = hm.entries
+        for i in range(n):
+            for j in range(n):
+                row = [zero] * (n * n)
+                for k in range(n):
+                    row[i * n + k] = field.add(row[i * n + k], he[k][j])
+                    row[k * n + j] = field.sub(row[k * n + j], he[i][k])
+                rows.append(tuple(row))
+                rhs.append(zero)
+    for wrow in w.basis.entries:
+        for i in range(n):
+            row = [zero] * (n * n)
+            for j in range(n):
+                row[i * n + j] = wrow[j]
+            rows.append(tuple(row))
+            rhs.append(wrow[i])
+    for f in kernel_basis(w.basis):
+        for j in range(n):
+            row = [zero] * (n * n)
+            for i in range(n):
+                row[i * n + j] = f[i]
+            rows.append(tuple(row))
+            rhs.append(zero)
+    sol = solve_affine(Matrix(field, len(rows), n * n, tuple(rows)), rhs)
+    if sol is None:
+        return None
+    x = sol[0]
+    pi = Matrix(field, n, n, tuple(tuple(x[i * n + j] for j in range(n))
+                                   for i in range(n)))
+    return Subspace.from_vectors(field, n, kernel_basis(pi))

@@ -108,6 +108,39 @@ def test_run_check_adjoint_corpus():
     assert report["complements"][0] is not None
 
 
+def test_check_solves_each_complement_once(monkeypatch):
+    # composition_series keeps the complements it solves; the check report
+    # reads them, in series order, instead of solving every system again
+    import gcr.engine
+    from gcr.jobs import fmt_subspace
+    real = gcr.engine.has_invariant_complement
+    calls = []
+
+    def counted(h, w):
+        calls.append(w)
+        return real(h, w)
+
+    monkeypatch.setattr(gcr.engine, "has_invariant_complement", counted)
+    docs = [
+        {"command": "check", "field": {"kind": "rationals"},
+         "matrices": [[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2"]]]},
+        {"command": "check", "field": {"kind": "prime_field", "p": 7},
+         "matrices": [[["2", "0", "1", "0"], ["0", "3", "0", "0"],
+                       ["0", "0", "2", "0"], ["0", "0", "0", "5"]],
+                      [["1", "0", "0", "0"], ["0", "1", "0", "4"],
+                       ["0", "0", "1", "0"], ["0", "0", "0", "1"]]]},
+    ]
+    for doc in docs:
+        calls.clear()
+        req = parse_request(json.dumps(doc))
+        report = run(req)
+        assert len(report["series"]) > 2
+        assert [fmt_subspace(w) for w in calls] == report["series"][1:-1]
+        want = [real(req.matrices, w) for w in calls]
+        assert report["complements"] == [None if c is None else fmt_subspace(c)
+                                         for c in want]
+
+
 def test_cli_determinism():
     code1, out1, _ = run_cli(["limit"], json.dumps(LIMIT_JOB))
     code2, out2, _ = run_cli(["limit"], json.dumps(LIMIT_JOB))

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -14,7 +16,8 @@ from gcr.linalg import (GF, QQ, BudgetExceeded, Matrix, MatrixTuple, Subspace,
                         commutant)
 from gcr.selftest import adjoint_sl2_tuple
 
-from helpers import random_gl_tuple, raw_tuple, tuples_conjugate
+from helpers import (all_subspaces, projection_complement, random_gl_tuple,
+                     random_invertible, raw_tuple, tuples_conjugate)
 
 
 def mat(field, rows):
@@ -75,6 +78,114 @@ def test_complement_soundness_random():
             for c in h:
                 for row in comp.basis.entries:
                     assert comp.contains(c.apply(row))
+
+
+def _flagged_tuple(rng, field, n, m):
+    """m generators stabilising a random flag with blocks of sizes 1..3,
+    conjugated by a random invertible matrix."""
+    def scalar():
+        return rng.randrange(field.p) if field.p else rng.randint(-3, 3)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+    block = [b for b, s in enumerate(sizes) for _ in range(s)]
+    while True:
+        gens = []
+        for _ in range(m):
+            gens.append(mat(field, [[scalar() if block[i] <= block[j] else 0
+                                     for j in range(n)] for i in range(n)]))
+        if all(g.is_invertible() for g in gens):
+            break
+    if field.p:
+        g = random_invertible(rng, field, n)
+    else:
+        g = mat(field, [[1 if i == j else (rng.randint(-2, 2) if i < j else 0)
+                         for j in range(n)] for i in range(n)])
+        g = g * g.transpose()
+    return MatrixTuple.make(field, [g * c * g.inverse() for c in gens])
+
+
+def _assert_matches_oracle(h, w):
+    got = has_invariant_complement(h, w)
+    want = projection_complement(h, w)
+    assert got == want, (h, w)
+
+
+def test_complement_matches_projection_oracle_seeded():
+    rng = random.Random(2207)
+    for field, n_max, trials in ((GF(2), 6, 10), (GF(3), 6, 10), (GF(7), 6, 10),
+                                 (GF(65537), 5, 8), (QQ, 5, 8)):
+        for _ in range(trials):
+            h = _flagged_tuple(rng, field, rng.randint(1, n_max), rng.choice([1, 2]))
+            series = composition_series(h).series  # from W = 0 to W = V
+            for w in series:
+                _assert_matches_oracle(h, w)
+            assert has_invariant_complement(h, series[0]) == series[-1]
+            assert has_invariant_complement(h, series[-1]) == series[0]
+
+
+def test_complement_matches_oracle_on_every_invariant_subspace():
+    rng = random.Random(12169)
+    for p, n, trials in ((2, 3, 6), (2, 4, 3), (3, 3, 4)):
+        field = GF(p)
+        subspaces = all_subspaces(field, n)
+        for _ in range(trials):
+            h = _flagged_tuple(rng, field, n, rng.choice([1, 2]))
+            for w in subspaces:
+                if all(w.contains(c.apply(row)) for c in h for row in w.basis.entries):
+                    _assert_matches_oracle(h, w)
+
+
+def test_complement_matches_oracle_identity_and_scalar_tuples():
+    # every subspace is invariant and the Sylvester system has d(n-d) free
+    # unknowns, so the returned complement is fixed by the canonical choice
+    for p, n in ((2, 3), (3, 3), (2, 4)):
+        field = GF(p)
+        ident = Matrix.identity(field, n)
+        for h in (tup(field, ident), tup(field, ident.scaled(p - 1), ident)):
+            for w in all_subspaces(field, n):
+                _assert_matches_oracle(h, w)
+    rng = random.Random(3)
+    for field in (QQ, GF(65537)):
+        n = 5
+        ident = Matrix.identity(field, n)
+        for h in (tup(field, ident), tup(field, ident.scaled(3))):
+            for d in range(n + 1):
+                vecs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+                _assert_matches_oracle(h, Subspace.from_vectors(field, n, vecs))
+
+
+def test_verify_complement_survives_optimize_flag():
+    # under python -O plain asserts vanish; the complement certificate must
+    # still raise, and the CLI must still map it to exit code 3
+    code = """
+import io, json
+import gcr.engine as engine
+from gcr.cli import main
+from gcr.linalg import QQ, MatrixTuple, Subspace
+assert False, "asserts are live"
+h = MatrixTuple.make(QQ, [[[1, 1], [0, 2]]])
+w = Subspace.from_vectors(QQ, 2, [(1, 0)])
+bad = Subspace.from_vectors(QQ, 2, [(0, 1)])
+try:
+    engine._verify_complement(h, w, bad)
+except AssertionError as e:
+    print("raised:", e)
+engine._canonical_solution = lambda w, nonpiv, x0, kern: (0,) * len(x0)
+doc = {"command": "check", "field": {"kind": "rationals"},
+       "matrices": [[["1", "1"], ["0", "2"]]]}
+err = io.StringIO()
+print("exit:", main(["check"], stdin=io.StringIO(json.dumps(doc)),
+                    stdout=io.StringIO(), stderr=err))
+print(err.getvalue().strip())
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "raised: complement is not invariant"
+    assert lines[1] == "exit: 3"
+    assert lines[2] == "internal error: complement is not invariant"
 
 
 # -- composition series ------------------------------------------------------
@@ -504,17 +615,6 @@ def test_clifford_smoke():
         assert is_completely_reducible(n)[0]
 
 
-def _all_subspaces(field, n):
-    import itertools
-    vectors = [v for v in itertools.product(range(field.p), repeat=n)
-               if any(v)]
-    seen = {Subspace.zero(field, n)}
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(vectors, k):
-            seen.add(Subspace.from_vectors(field, n, combo))
-    return sorted(seen, key=lambda s: (s.dim, s.basis.entries))
-
-
 def test_reducibility_vs_subspace_enumeration():
     # independent oracle: enumerate every subspace, find the invariant ones
     # directly, and decide semisimplicity by enumerated complements
@@ -522,7 +622,7 @@ def test_reducibility_vs_subspace_enumeration():
     cases = [(2, 3, 8), (3, 2, 8), (2, 4, 4)]
     for p, n, trials in cases:
         field = GF(p)
-        subspaces = _all_subspaces(field, n)
+        subspaces = all_subspaces(field, n)
         for _ in range(trials):
             h = random_gl_tuple(rng, p, n, rng.choice([1, 2]))
             invariant = [s for s in subspaces

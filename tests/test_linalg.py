@@ -4,7 +4,7 @@ import pytest
 
 from gcr.linalg import (GF, QQ, Field, Matrix, MatrixTuple, Subspace,
                         commutant, kernel_basis, rref, solve_affine,
-                        span_basis, spin)
+                        span_basis, spin, sylvester_rows)
 
 from helpers import random_invertible
 
@@ -141,6 +141,26 @@ def test_spin_stability_and_minimality():
         for g in gens:
             for row in s.basis.entries:
                 assert s.contains(g.apply(row))
+
+
+def test_sylvester_rows_apply_the_map():
+    rng = random.Random(17)
+    for field in (GF(7), QQ):
+        def rand(r, c):
+            return mat(field, [[rng.randint(0, 6) for _ in range(c)]
+                               for _ in range(r)])
+        for d, m in ((2, 3), (3, 1), (1, 1), (0, 2), (2, 0)):
+            pairs = [(rand(d, d), rand(m, m)) for _ in range(2)]
+            x = rand(d, m)
+            rows = sylvester_rows(pairs)
+            assert len(rows) == 2 * d * m
+            flat = [v for row in x.entries for v in row]
+            got = [field(sum(r * v for r, v in zip(row, flat))) for row in rows]
+            want = []
+            for a, c in pairs:
+                if d and m:
+                    want += [v for row in (a * x - x * c).entries for v in row]
+            assert got == want
 
 
 def test_commutant_identity():
