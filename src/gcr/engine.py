@@ -202,11 +202,8 @@ def _quotient_action(acts: Sequence[Matrix], sub: Subspace):
 
     qacts = []
     for a in acts:
-        cols = [project(a.apply(lift(tuple(field.one if k == c else field.zero
-                                           for k in range(d)))))
-                for c in range(d)]
-        ent = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-        qacts.append(Matrix(field, d, d, ent))
+        cols = [project(a.col(j)) for j in nonpiv]
+        qacts.append(Matrix(field, d, d, tuple(zip(*cols))))
     return qacts, lift
 
 
@@ -219,18 +216,13 @@ def _candidate_vectors(sub: Subspace):
     """
     field = sub.field
     d = sub.dim
-    rows = sub.basis.entries
     if field.p is not None and field.p ** d <= 1 << 16:
+        combine = sub.basis.transpose()
         for coeffs in itertools.product(field.elements(), repeat=d):
-            if all(c == 0 for c in coeffs):
-                continue
-            v = [field.zero] * sub.ambient
-            for c, row in zip(coeffs, rows):
-                if c != 0:
-                    v = [field.add(a, field.mul(c, b)) for a, b in zip(v, row)]
-            yield tuple(v)
+            if any(coeffs):
+                yield combine.apply(coeffs)
     else:
-        yield from rows
+        yield from sub.basis.entries
 
 
 def _minimal_invariant(acts: Sequence[Matrix], field: Field, d: int) -> Subspace:
@@ -256,8 +248,9 @@ def _minimal_invariant(acts: Sequence[Matrix], field: Field, d: int) -> Subspace
     return best
 
 
-def composition_series(h: MatrixTuple) -> ModuleDecomposition:
-    """Composition series of the natural module with irreducible quotients."""
+def _series(h: MatrixTuple):
+    """Composition series (zero through full) with irreducible quotients,
+    and the commutant dimension of each factor action."""
     field, n = h.field, h.dim
     acts = span_basis(h.components)
     series = [Subspace.zero(field, n)]
@@ -277,10 +270,17 @@ def composition_series(h: MatrixTuple) -> ModuleDecomposition:
         vecs = list(cur.basis.entries) + [lift(row) for row in sub.basis.entries]
         cur = Subspace.from_vectors(field, n, vecs)
         series.append(cur)
+    return tuple(series), tuple(factor_comm)
+
+
+def composition_series(h: MatrixTuple) -> ModuleDecomposition:
+    """Composition series of the natural module with irreducible quotients,
+    and the invariant complement of each proper member."""
+    series, factor_comm = _series(h)
     complements = tuple(has_invariant_complement(h, v) for v in series[1:-1])
     splits = tuple(c is not None for c in complements)
-    return ModuleDecomposition(tuple(series), splits, all(splits),
-                               tuple(factor_comm), complements)
+    return ModuleDecomposition(series, splits, all(splits), factor_comm,
+                               complements)
 
 
 def is_completely_reducible(h: MatrixTuple):
@@ -311,8 +311,8 @@ def semisimplify(h: MatrixTuple):
     generates a completely reducible subgroup with the same multiset of
     composition-factor dimensions.
     """
-    decomp = composition_series(h)
-    lam = cocharacter_from_flag(decomp.series[1:])
+    series = _series(h)[0]
+    lam = cocharacter_from_flag(series[1:])
     lim = limit_tuple(lam, h)
     assert lim is not None, "flag-adapted limit must exist"
     return lim, lam

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .cochar import Cocharacter
 from .linalg import (QQ, BudgetExceeded, DEFAULT_BUDGET, Matrix, MatrixTuple,
-                     solve_affine, rref)
+                     solve_affine)
 
 
 @dataclass(frozen=True)
@@ -121,20 +121,14 @@ def f_compare(w: WeightSet, lam1: Sequence[int], lam2: Sequence[int]) -> int:
     return s1 if diff > 0 else -s1
 
 
-def _affinely_independent(points) -> bool:
-    if len(points) <= 1:
-        return True
-    base = points[0]
-    rows = tuple(tuple(Fraction(x - y) for x, y in zip(p, base)) for p in points[1:])
-    m = Matrix(QQ, len(rows), len(base), rows)
-    return rref(m)[2] == len(points) - 1
-
-
 def _project_origin_affine(points):
-    """Coefficients c (sum 1) minimizing |sum c_i x_i| over the affine hull.
+    """Coefficients c (sum 1) minimizing |sum c_i x_i| over the affine hull,
+    or None when the points are affinely dependent.
 
-    Requires affinely independent points; the bordered Gram system is then
-    nonsingular and the coefficients are unique.
+    The bordered Gram system [[G, 1], [1^T, 0]] is singular exactly then:
+    an affine dependence c gives the kernel vector (c, 0), and a kernel
+    vector (c, t) has c^T G c = |sum c_i x_i|^2 = 0 with sum c_i = 0.
+    Otherwise the coefficients are unique.
     """
     k = len(points)
     rows = []
@@ -146,7 +140,8 @@ def _project_origin_affine(points):
     m = Matrix(QQ, k + 1, k + 1, tuple(rows))
     rhs = [Fraction(0)] * k + [Fraction(1)]
     sol = solve_affine(m, rhs)
-    assert sol is not None and not sol[1], "degenerate projection system"
+    if sol is None or sol[1]:
+        return None
     return sol[0][:k]
 
 
@@ -173,10 +168,8 @@ def min_norm_point(w: WeightSet, budget: int = DEFAULT_BUDGET):
     for k in range(1, kmax + 1):
         for subset in itertools.combinations(range(t), k):
             chosen = [pts[i] for i in subset]
-            if not _affinely_independent(chosen):
-                continue
             coeffs = _project_origin_affine(chosen)
-            if any(c < 0 for c in coeffs):
+            if coeffs is None or any(c < 0 for c in coeffs):
                 continue
             point = tuple(sum(c * Fraction(x[d]) for c, x in zip(coeffs, chosen))
                           for d in range(w.rank))

@@ -197,7 +197,7 @@ def _parse_generators(obj, field: Field, square=None) -> MatrixTuple:
 # -- serialization ----------------------------------------------------------
 
 def fmt_matrix(m: Matrix):
-    return [[m.field.fmt(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.entries]
 
 
 def fmt_field(field: Field):
@@ -207,7 +207,7 @@ def fmt_field(field: Field):
 
 
 def fmt_subspace(s: Subspace):
-    return [[s.field.fmt(x) for x in row] for row in s.basis.entries]
+    return [[str(x) for x in row] for row in s.basis.entries]
 
 
 def fmt_cocharacter(lam: Cocharacter):

@@ -97,12 +97,6 @@ class Field:
             raise ValueError("division by zero")
         return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def fmt(self, a) -> str:
-        return str(a)
-
     def elements(self):
         """All field elements, in residue order.  Prime fields only."""
         if self.p is None:
@@ -245,35 +239,74 @@ class Matrix:
         return Matrix(self.field, n, n, tuple(r[n:] for r in red.entries))
 
 
+def _reduce(p, v, rows) -> list:
+    """Residual of v against echelon rows, given as (pivot, row) pairs with
+    each row 1 at its pivot and 0 before it, in increasing pivot order (or
+    any order, when every row is also 0 at the other rows' pivots).
+
+    p is the modulus of F_p, or None over Q: the field is tested once per
+    call, and each row operation is plain arithmetic on the entries.
+    """
+    v = list(v)
+    if p is None:
+        for pc, row in rows:
+            c = v[pc]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+    else:
+        for pc, row in rows:
+            c = v[pc]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+    return v
+
+
+def _insert(p, v, rows):
+    """Reduce v against the echelon rows and insert the nonzero residual,
+    scaled to 1 at its pivot, in pivot order.  Returns the inserted row, or
+    None when v already lies in their span."""
+    v = _reduce(p, v, rows)
+    pc = next((i for i, x in enumerate(v) if x), None)
+    if pc is None:
+        return None
+    if p is None:
+        inv = 1 / Fraction(v[pc])
+        row = tuple(x * inv for x in v)
+    else:
+        inv = pow(v[pc], -1, p)
+        row = tuple(x * inv % p for x in v)
+    bisect.insort(rows, (pc, row))
+    return row
+
+
+def _clear_above(p, rows) -> list:
+    """The reduced echelon rows spanning the same space as echelon rows:
+    each row, last first, is reduced against the already reduced rows below
+    it."""
+    out = []
+    for pc, row in reversed(rows):
+        out.append((pc, tuple(_reduce(p, row, out))))
+    out.reverse()
+    return out
+
+
 def rref(m: Matrix):
     """Reduced row-echelon form.
 
     Returns (rref matrix, pivot columns, rank).  The result is the unique
-    RREF, with pivots 1 and pivot columns cleared above and below.
+    RREF, with pivots 1 and pivot columns cleared above and below, padded
+    with zero rows to the shape of m.
     """
-    f = m.field
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    red = Matrix(f, nr, nc, tuple(tuple(row) for row in rows))
-    return red, tuple(pivots), r
+    p = m.field.p
+    rows: list = []
+    for r in m.entries:
+        _insert(p, r, rows)
+    rows = _clear_above(p, rows)
+    rank = len(rows)
+    zero = (m.field.zero,) * m.cols
+    red = Matrix(m.field, m.rows, m.cols,
+                 tuple(row for _, row in rows) + (zero,) * (m.rows - rank))
+    return red, tuple(pc for pc, _ in rows), rank
 
 
 def _kernel_from_rref(field: Field, red_entries, pivots, cols: int):
@@ -374,11 +407,7 @@ class Subspace:
         v = [f(x) for x in v]
         if len(v) != self.ambient:
             raise ValueError("dimension mismatch")
-        for row, pc in zip(self.basis.entries, self.pivots):
-            c = v[pc]
-            if c != 0:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(_reduce(f.p, v, zip(self.pivots, self.basis.entries)))
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
@@ -471,29 +500,10 @@ def span_basis(mats: Sequence[Matrix]) -> list:
     mats = _components(mats)
     if not mats:
         return []
-    field = mats[0].field
-    rows: list = []  # (pivot, normalized flattened row), sorted by pivot
-    keep = []
-    for m in mats:
-        v = [x for row in m.entries for x in row]
-        v = _reduce_row(field, v, rows)
-        pc = next((i for i, x in enumerate(v) if x != 0), None)
-        if pc is None:
-            continue
-        inv = field.inv(v[pc])
-        nv = tuple(field.mul(inv, x) for x in v)
-        bisect.insort(rows, (pc, nv))
-        keep.append(m)
-    return keep
-
-
-def _reduce_row(field: Field, v, rows):
-    v = list(v)
-    for pc, row in rows:
-        c = v[pc]
-        if c != 0:
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-    return v
+    p = mats[0].field.p
+    rows: list = []
+    return [m for m in mats
+            if _insert(p, [x for row in m.entries for x in row], rows) is not None]
 
 
 def spin(seeds: Sequence[Sequence], gens) -> Subspace:
@@ -520,17 +530,11 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
     rows: list = []
     queue = deque(seeds)
     while queue:
-        v = queue.popleft()
-        r = _reduce_row(field, v, rows)
-        pc = next((i for i, x in enumerate(r) if x != 0), None)
-        if pc is None:
-            continue
-        inv = field.inv(r[pc])
-        nr = tuple(field.mul(inv, x) for x in r)
-        bisect.insort(rows, (pc, nr))
-        for a in acts:
-            queue.append(a.apply(nr))
-    return Subspace.from_vectors(field, n, [row for _, row in rows])
+        row = _insert(field.p, queue.popleft(), rows)
+        if row is not None:
+            queue.extend(a.apply(row) for a in acts)
+    rows = _clear_above(field.p, rows)
+    return Subspace(n, Matrix(field, len(rows), n, tuple(row for _, row in rows)))
 
 
 def sylvester_rows(pairs) -> list:

@@ -60,15 +60,11 @@ def adjoint_sl2_tuple(p: int) -> MatrixTuple:
     return MatrixTuple(field, 3, tuple(out))
 
 
-def _fmt(x) -> str:
-    return str(x)
-
-
 def _case_limit_upper():
     lam = Cocharacter((1, -1))
     x = mat(QQ, [[1, 1], [0, 1]])
     lim = limit_conj(lam, x)
-    return [[_fmt(v) for v in row] for row in lim.entries]
+    return [[str(v) for v in row] for row in lim.entries]
 
 
 def _case_limit_lower():
@@ -139,7 +135,7 @@ def _case_unipotent_witness():
 def _case_semisimplify_jordan():
     h = tup(QQ, mat(QQ, [[1, 1], [0, 1]]))
     lim, lam = semisimplify(h)
-    return {"limit": [[_fmt(v) for v in row] for row in lim[0].entries],
+    return {"limit": [[str(v) for v in row] for row in lim[0].entries],
             "exponents": list(lam.exponents)}
 
 
@@ -151,20 +147,20 @@ def _case_borel_tits_j3():
 
 def _case_optimize_interval():
     rep = optimal_cocharacter(WeightSet.of([(1,), (2,)]))
-    return {"lam": list(rep.lam_opt), "value_sq": _fmt(rep.value_sq),
+    return {"lam": list(rep.lam_opt), "value_sq": str(rep.value_sq),
             "mu": rep.mu_opt}
 
 
 def _case_optimize_diagonal():
     rep = optimal_cocharacter(WeightSet.of([(2, 0), (0, 2)]))
-    return {"lam": list(rep.lam_opt), "value_sq": _fmt(rep.value_sq),
+    return {"lam": list(rep.lam_opt), "value_sq": str(rep.value_sq),
             "mu": rep.mu_opt, "norm_sq": rep.lam_norm_sq}
 
 
 def _case_optimize_semistable():
     rep = optimal_cocharacter(WeightSet.of([(-1,), (1,)]))
     return {"semistable": rep.semistable,
-            "min_point": [_fmt(v) for v in rep.min_point]}
+            "min_point": [str(v) for v in rep.min_point]}
 
 
 def _case_optimize_oracle(budget: int):
@@ -220,13 +216,13 @@ def _case_ru_conjugator():
     d = mat(field, [[1, 0], [0, 2]])
     h = tup(field, u0 * d * u0.inverse())
     u = ru_conjugator(h, Cocharacter((1, 0)))
-    return [[_fmt(v) for v in row] for row in u.entries]
+    return [[str(v) for v in row] for row in u.entries]
 
 
 def _case_commutant_jordan():
     basis = commutant([mat(QQ, [[1, 1], [0, 1]])])
     return {"dim": len(basis),
-            "basis": [[[_fmt(v) for v in row] for row in b.entries]
+            "basis": [[[str(v) for v in row] for row in b.entries]
                       for b in basis]}
 
 

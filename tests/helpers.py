@@ -92,6 +92,37 @@ def raw_tuple(h: MatrixTuple):
     return tuple(to_raw(c) for c in h.components)
 
 
+# -- elimination oracle ------------------------------------------------------
+
+def gauss_jordan(m: Matrix):
+    """(RREF, pivot columns, rank) by textbook Gauss-Jordan elimination with
+    per-scalar Field arithmetic: for each column, swap a nonzero row up,
+    scale it to 1 and clear the column in every other row.  Test oracle
+    only: linalg.rref must return the same unique RREF."""
+    f = m.field
+    rows = [list(r) for r in m.entries]
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(factor, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Matrix(f, nr, nc, tuple(tuple(row) for row in rows)), tuple(pivots), r
+
+
 # -- random generators -------------------------------------------------------
 
 def random_invertible(rng: random.Random, field: Field, n: int) -> Matrix:

@@ -315,6 +315,18 @@ def test_semisimplify_jordan():
     assert lam.conjugator is None
 
 
+def test_semisimplify_solves_no_complements(monkeypatch):
+    # semisimplify reads only the series, so it must not solve complements
+    import gcr.engine as engine
+
+    def refuse(h, w):
+        raise AssertionError("semisimplify solved a complement")
+    monkeypatch.setattr(engine, "has_invariant_complement", refuse)
+    for h in (jordan2(QQ), e13_tuple(GF(2)), adjoint_sl2_tuple(3)):
+        lim, lam = semisimplify(h)
+        assert limit_tuple(lam, h) == lim
+
+
 def test_semisimplify_block_diagonal_fixed():
     field = GF(7)
     h = tup(field, mat(field, [[2, 0], [0, 3]]))

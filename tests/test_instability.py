@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from gcr.cochar import Cocharacter, limit_conj, parabolic_of
-from gcr.instability import (BoxOptimum, WeightSet, brute_force_optimum,
-                             f_compare, min_norm_point, mu, mu_conjugated,
-                             norm_sq, optimal_cocharacter, support_of_tuple)
+from gcr.instability import (BoxOptimum, WeightSet, _project_origin_affine,
+                             brute_force_optimum, f_compare, min_norm_point,
+                             mu, mu_conjugated, norm_sq, optimal_cocharacter,
+                             support_of_tuple)
 from gcr.linalg import GF, QQ, BudgetExceeded, Matrix, MatrixTuple
 
 from helpers import fm_feasible, random_weight_set
@@ -127,6 +128,15 @@ def test_min_norm_examples():
     p, coeffs = min_norm_point(WeightSet.of([(2, 0), (0, 2)]))
     assert p == (1, 1)
     assert coeffs == (Fraction(1, 2), Fraction(1, 2))
+
+    # Collinear points are affinely dependent: the bordered Gram system of
+    # the whole set is singular, and only the pairs and singletons count.
+    assert _project_origin_affine([(1, 1), (2, 2), (3, 3)]) is None
+    assert _project_origin_affine([(-1, 1), (1, -1), (2, -2)]) is None
+    p, coeffs = min_norm_point(WeightSet.of([(1, 1), (2, 2), (3, 3)]))
+    assert p == (1, 1) and coeffs == (1, 0, 0)
+    p, coeffs = min_norm_point(WeightSet.of([(-1, 1), (1, -1), (2, -2)]))
+    assert p == (0, 0) and sum(coeffs) == 1 and all(c >= 0 for c in coeffs)
 
 
 def test_min_norm_certificate_random():

@@ -6,7 +6,7 @@ from gcr.linalg import (GF, QQ, Field, Matrix, MatrixTuple, Subspace,
                         commutant, kernel_basis, rref, solve_affine,
                         span_basis, spin, sylvester_rows)
 
-from helpers import random_invertible
+from helpers import gauss_jordan, random_invertible
 
 
 def mat(field, rows):
@@ -252,3 +252,81 @@ def test_kernel_basis_spans_kernel():
     kern = kernel_basis(m)
     assert len(kern) == 1
     assert all(v == 0 for v in m.apply(kern[0]))
+
+
+def _oracle_cases(rng, field):
+    """Matrices with no rows, no columns, zero rows, duplicate rows and
+    rank-deficient rows, plus random full ones."""
+    def rand(r, c):
+        if field.p is None:
+            return [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        return [[rng.randrange(field.p) for _ in range(c)] for _ in range(r)]
+
+    base = rand(3, 5)
+    combos = [[sum(a * x for a, x in zip(cs, col)) for col in zip(*base[:2])]
+              for cs in rand(5, 2)]
+    cases = [Matrix(field, 0, 4, ()), mat(field, [[], [], []]),
+             mat(field, rand(2, 5) + [[0] * 5] + rand(1, 5)),
+             mat(field, base + base[:2]), mat(field, combos),
+             mat(field, rand(4, 4)), mat(field, rand(6, 4)), mat(field, rand(3, 7))]
+    rng.shuffle(cases)
+    return cases
+
+
+def _oracle_span(field, vectors, n):
+    """Nonzero RREF rows of the vectors, by the oracle."""
+    red, _, rank = gauss_jordan(Matrix(field, len(vectors), n, tuple(vectors)))
+    return red.entries[:rank]
+
+
+def test_kernel_agrees_with_gauss_jordan_oracle():
+    rng = random.Random(31)
+    for field in (GF(2), GF(7), GF(65537), QQ):
+        for m in _oracle_cases(rng, field):
+            red, piv, rank = gauss_jordan(m)
+            assert rref(m) == (red, piv, rank)
+
+            kern = []
+            for fc in (c for c in range(m.cols) if c not in piv):
+                v = [field.zero] * m.cols
+                v[fc] = field.one
+                for i, pc in enumerate(piv):
+                    v[pc] = field.neg(red.entries[i][fc])
+                kern.append(tuple(v))
+            assert kernel_basis(m) == tuple(kern)
+
+            # span_basis keeps a row exactly when it raises the oracle rank
+            singles = [Matrix(field, 1, m.cols, (r,)) for r in m.entries]
+            kept = [s for i, s in enumerate(singles)
+                    if gauss_jordan(mat(field, m.entries[:i + 1]))[2]
+                    > gauss_jordan(Matrix(field, i, m.cols, m.entries[:i]))[2]]
+            assert span_basis(singles) == kept
+
+            n = m.cols
+            sub = Subspace(n, Matrix(field, rank, n, red.entries[:rank]))
+            for _ in range(3):
+                v = tuple(field(rng.randrange(-5, 6)) for _ in range(n))
+                want = list(v)
+                for row, pc in zip(red.entries, piv):
+                    c = v[pc]
+                    want = [field.sub(a, field.mul(c, b))
+                            for a, b in zip(want, row)]
+                assert sub.reduce(v) == tuple(want)
+                inside = _oracle_span(field, list(red.entries[:rank]) + [v], n)
+                assert sub.contains(v) == (len(inside) == rank)
+
+            if n == 0 or m.rows == 0:
+                continue
+            # spin: close the seeds' span under the generators, by the oracle
+            gens = [mat(field, [[rng.randrange(-2, 3) for _ in range(n)]
+                                for _ in range(n)]) for _ in range(2)]
+            singular = [m.entries[0]] + [[0] * n] * (n - 1)
+            gens.append(mat(field, singular))
+            rows = _oracle_span(field, list(m.entries), n)
+            while True:
+                images = [g.apply(r) for g in gens for r in rows]
+                grown = _oracle_span(field, list(rows) + images, n)
+                if grown == rows:
+                    break
+                rows = grown
+            assert spin(m.entries, gens).basis.entries == rows
