@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .linalg import Field, Matrix, MatrixTuple, Subspace
+from .linalg import Field, Matrix, MatrixTuple, Subspace, _insert
 
 # Integer character (weight) vectors of the diagonal torus.
 Character = Tuple[int, ...]
@@ -228,16 +228,16 @@ def cocharacter_from_flag(flag: Sequence[Subspace]) -> Cocharacter:
         raise ValueError("flag does not end at the full space")
 
     adapted = []
-    span = Subspace.zero(field, n)
+    echelon: list = []
     sizes = []
     for sub in flag:
         start = len(adapted)
         for row in sub.basis.entries:
-            if not span.contains(row):
+            if _insert(field.p, row, echelon) is not None:
                 adapted.append(row)
-                span = span.add(Subspace.from_vectors(field, n, [row]))
         sizes.append(len(adapted) - start)
-    assert len(adapted) == n
+    if len(adapted) != n:
+        raise AssertionError("flag basis is not adapted")
 
     t = len(flag)
     exps = []

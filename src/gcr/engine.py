@@ -23,8 +23,9 @@ from .cochar import (Cocharacter, cocharacter_from_flag, limit_tuple,
                      parabolic_of)
 from .instability import WeightSet, optimal_cocharacter, support_of_tuple
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Field, Matrix,
-                     MatrixTuple, Subspace, commutant, kernel_basis, rref,
-                     solve_affine, span_basis, spin, sylvester_rows)
+                     MatrixTuple, Subspace, _insert, _reduce, commutant,
+                     kernel_basis, solve_affine, span_basis, spin,
+                     sylvester_rows)
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,20 @@ class ModuleDecomposition:
     """
 
     series: tuple                 # Subspaces, zero through full
-    step_split: tuple             # bools, one per proper nonzero member
-    semisimple: bool
     factor_commutant_dims: tuple
     complements: tuple            # Subspace or None, one per proper member
 
     @property
     def factor_dims(self) -> tuple:
         return tuple(b.dim - a.dim for a, b in zip(self.series, self.series[1:]))
+
+    @property
+    def step_split(self) -> tuple:
+        return tuple(c is not None for c in self.complements)
+
+    @property
+    def semisimple(self) -> bool:
+        return all(self.step_split)
 
 
 @dataclass(frozen=True)
@@ -103,31 +110,6 @@ def _projection(w: Subspace, nonpiv: Sequence[int], x: Sequence,
     return [field(col[j][i]) for i in range(n) for j in range(n)]
 
 
-def _canonical_solution(w: Subspace, nonpiv: Sequence[int], x0: Sequence,
-                        kern: Sequence) -> tuple:
-    """The Sylvester solution whose projection vanishes at the free
-    positions of the n^2-unknown projection system.
-
-    That system's solutions are the projections of the Sylvester solutions,
-    and its kernel is the image of the Sylvester kernel.  A column of its
-    RREF is free iff some kernel vector has its last nonzero entry there, so
-    the free positions are the pivots of the kernel images' RREF taken on
-    reversed columns; fixing pi to zero there is a k x k system.
-    """
-    if not kern:
-        return tuple(x0)
-    field, nn = w.field, w.ambient ** 2
-    lin = [_projection(w, nonpiv, k, False) for k in kern]
-    rev = Matrix(field, len(lin), nn, tuple(tuple(reversed(v)) for v in lin))
-    free = [nn - 1 - c for c in rref(rev)[1]]
-    base = _projection(w, nonpiv, x0, True)
-    coef = Matrix(field, len(free), len(kern),
-                  tuple(tuple(v[f] for v in lin) for f in free))
-    t = solve_affine(coef, [field.neg(base[f]) for f in free])[0]
-    return tuple(field(x + sum(tk * k[i] for tk, k in zip(t, kern)))
-                 for i, x in enumerate(x0))
-
-
 def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
     """Invariant complement of an invariant subspace, or None.
 
@@ -140,8 +122,12 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
     unknowns.  The one returned is canonical: ker pi_0, where pi_0 is the
     equivariant projection onto w that vanishes at the free positions of
     the n^2-unknown system for such projections (pi h = h pi, pi|_w = id,
-    im pi in w).  The complement is re-verified to be stable, transverse
-    and exhaustive.
+    im pi in w).  That system's kernel is the image of the Sylvester kernel,
+    and a column of its RREF is free iff some kernel vector has its last
+    nonzero entry there, so pi_0 is the projection of the particular
+    solution reduced against the echelon rows of the kernel projections,
+    taken on reversed columns.  The complement is re-verified to be stable,
+    transverse and exhaustive.
     """
     n = h.dim
     field = h.field
@@ -151,60 +137,65 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
         raise ValueError("subspace is not invariant")
 
     d, rows, piv = w.dim, w.basis.entries, w.pivots
-    pivset = set(piv)
-    nonpiv = [j for j in range(n) if j not in pivset]
-    m = len(nonpiv)
     acts = span_basis(h.components)
+    qacts, nonpiv = _quotient_action(acts, w)
     pairs = []
     rhs = []
-    for hm, c in zip(acts, _quotient_action(acts, w)[0]):
+    for hm, c in zip(acts, qacts):
         hw = [hm.apply(row) for row in rows]
         a = tuple(tuple(hw[k][pb] for k in range(d)) for pb in piv)
         pairs.append((Matrix(field, d, d, a), c))
         rhs.extend(field.neg(hm.entries[pb][j]) for pb in piv for j in nonpiv)
     system = sylvester_rows(pairs)
-    sol = solve_affine(Matrix(field, len(system), d * m, tuple(system)), rhs)
+    sol = solve_affine(Matrix(field, len(system), d * len(nonpiv),
+                              tuple(system)), rhs)
     if sol is None:
         return None
-    x = _canonical_solution(w, nonpiv, *sol)
-    vecs = []
-    for jj, j in enumerate(nonpiv):
-        v = [field(sum(x[b * m + jj] * wb[i] for b, wb in enumerate(rows)))
-             for i in range(n)]
-        v[j] = field.add(v[j], field.one)
-        vecs.append(v)
-    comp = Subspace.from_vectors(field, n, vecs)
+    x0, kern = sol
+    echelon: list = []
+    for k in kern:
+        _insert(field.p, _projection(w, nonpiv, k, False)[::-1], echelon)
+    pi = _reduce(field.p, _projection(w, nonpiv, x0, True)[::-1], echelon)[::-1]
+    comp = Subspace.from_vectors(field, n, [
+        [int(i == j) - pi[i * n + j] for i in range(n)] for j in range(n)])
     _verify_complement(h, w, comp)
     return comp
 
 
 def _quotient_action(acts: Sequence[Matrix], sub: Subspace):
-    """Induced matrices on the coordinate model of V/sub, plus the lift map.
-
-    The quotient is modelled on the non-pivot coordinates of sub's RREF
-    basis, which makes everything canonical.
-    """
+    """Induced matrices on the coordinate model of V/sub, and the non-pivot
+    coordinates of sub's RREF basis that model it, which makes everything
+    canonical."""
     field = acts[0].field
-    n = acts[0].rows
     piv = set(sub.pivots)
-    nonpiv = [j for j in range(n) if j not in piv]
+    nonpiv = [j for j in range(acts[0].rows) if j not in piv]
     d = len(nonpiv)
-
-    def project(v):
-        residual = sub.reduce(v)
-        return tuple(residual[j] for j in nonpiv)
-
-    def lift(u):
-        v = [field.zero] * n
-        for k, j in enumerate(nonpiv):
-            v[j] = u[k]
-        return tuple(v)
-
     qacts = []
     for a in acts:
-        cols = [project(a.col(j)) for j in nonpiv]
-        qacts.append(Matrix(field, d, d, tuple(zip(*cols))))
-    return qacts, lift
+        cols = [sub.reduce(a.col(j)) for j in nonpiv]
+        qacts.append(Matrix(field, d, d,
+                            tuple(tuple(c[i] for c in cols) for i in nonpiv)))
+    return qacts, nonpiv
+
+
+def _flag(h: MatrixTuple, step) -> tuple:
+    """Flag of invariant subspaces, zero through full.  step(qacts) returns
+    vectors of the quotient model of V/V_i (see _quotient_action), spanning
+    the image of V_{i+1}."""
+    field, n = h.field, h.dim
+    acts = span_basis(h.components)
+    series = [Subspace.zero(field, n)]
+    while series[-1].dim < n:
+        cur = series[-1]
+        qacts, nonpiv = _quotient_action(acts, cur)
+        vecs = list(cur.basis.entries)
+        for u in step(qacts):
+            v = [field.zero] * n
+            for j, x in zip(nonpiv, u):
+                v[j] = x
+            vecs.append(v)
+        series.append(Subspace.from_vectors(field, n, vecs))
+    return tuple(series)
 
 
 def _candidate_vectors(sub: Subspace):
@@ -251,14 +242,11 @@ def _minimal_invariant(acts: Sequence[Matrix], field: Field, d: int) -> Subspace
 def _series(h: MatrixTuple):
     """Composition series (zero through full) with irreducible quotients,
     and the commutant dimension of each factor action."""
-    field, n = h.field, h.dim
-    acts = span_basis(h.components)
-    series = [Subspace.zero(field, n)]
+    field = h.field
     factor_comm = []
-    cur = series[0]
-    while cur.dim < n:
-        qacts, lift = _quotient_action(acts, cur)
-        sub = _minimal_invariant(qacts, field, n - cur.dim)
+
+    def step(qacts):
+        sub = _minimal_invariant(qacts, field, qacts[0].rows)
         # factor action in the RREF basis of sub, for the commutant dimension
         fdim = sub.dim
         fmats = []
@@ -267,20 +255,23 @@ def _series(h: MatrixTuple):
             ent = tuple(tuple(cols[c][r] for c in range(fdim)) for r in range(fdim))
             fmats.append(Matrix(field, fdim, fdim, ent))
         factor_comm.append(len(commutant(fmats)))
-        vecs = list(cur.basis.entries) + [lift(row) for row in sub.basis.entries]
-        cur = Subspace.from_vectors(field, n, vecs)
-        series.append(cur)
-    return tuple(series), tuple(factor_comm)
+        return sub.basis.entries
+
+    return _flag(h, step), tuple(factor_comm)
 
 
 def composition_series(h: MatrixTuple) -> ModuleDecomposition:
     """Composition series of the natural module with irreducible quotients,
     and the invariant complement of each proper member."""
     series, factor_comm = _series(h)
-    complements = tuple(has_invariant_complement(h, v) for v in series[1:-1])
-    splits = tuple(c is not None for c in complements)
-    return ModuleDecomposition(series, splits, all(splits), factor_comm,
-                               complements)
+    return ModuleDecomposition(series, factor_comm, tuple(
+        has_invariant_complement(h, v) for v in series[1:-1]))
+
+
+def _witness(series: tuple, step: int) -> WitnessParabolic:
+    """The series as a witness flag, naming the member at 1-based `step`."""
+    flag = series[1:]
+    return WitnessParabolic(flag, cocharacter_from_flag(flag), "no-complement", step)
 
 
 def is_completely_reducible(h: MatrixTuple):
@@ -292,10 +283,7 @@ def is_completely_reducible(h: MatrixTuple):
     decomp = composition_series(h)
     if decomp.semisimple:
         return True, decomp, None
-    step = next(i for i, ok in enumerate(decomp.step_split) if not ok) + 1
-    flag = decomp.series[1:]
-    wit = WitnessParabolic(flag, cocharacter_from_flag(flag), "no-complement", step)
-    return False, decomp, wit
+    return False, decomp, _witness(decomp.series, decomp.complements.index(None) + 1)
 
 
 def orbit_closed(h: MatrixTuple) -> bool:
@@ -314,7 +302,8 @@ def semisimplify(h: MatrixTuple):
     series = _series(h)[0]
     lam = cocharacter_from_flag(series[1:])
     lim = limit_tuple(lam, h)
-    assert lim is not None, "flag-adapted limit must exist"
+    if lim is None:
+        raise AssertionError("flag-adapted limit must exist")
     return lim, lam
 
 
@@ -338,21 +327,16 @@ def borel_tits_flag(h: MatrixTuple) -> WitnessParabolic:
     if all(c == ident for c in h.components):
         raise ValueError("trivial unipotent subgroup")
 
-    acts = span_basis(h.components)
-    series = [Subspace.zero(field, n)]
-    cur = series[0]
-    while cur.dim < n:
-        qacts, lift = _quotient_action(acts, cur)
-        d = n - cur.dim
+    def step(qacts):
+        d = qacts[0].rows
         qid = Matrix.identity(field, d)
         stacked = [row for q in qacts for row in (q - qid).entries]
         fixed = kernel_basis(Matrix(field, len(stacked), d, tuple(stacked)))
         if not fixed:
             raise ValueError("generated group is not unipotent")
-        vecs = list(cur.basis.entries) + [lift(v) for v in fixed]
-        cur = Subspace.from_vectors(field, n, vecs)
-        series.append(cur)
-    flag = tuple(series[1:])
+        return fixed
+
+    flag = _flag(h, step)[1:]
     return WitnessParabolic(flag, cocharacter_from_flag(flag), "borel-tits", 1)
 
 
@@ -424,8 +408,9 @@ def ru_conjugator(h: MatrixTuple, lam: Cocharacter,
         if all(pd.contains_levi(u0 * c * u0i) for c in comps):
             u = g * u0 * gi if g is not None else u0
             ui = u.inverse()
-            assert all(u * c * ui == lc
-                       for c, lc in zip(h.components, lim.components))
+            if not all(u * c * ui == lc
+                       for c, lc in zip(h.components, lim.components)):
+                raise AssertionError("conjugated tuple is not the limit")
             return u
     return None
 
@@ -502,7 +487,9 @@ def lift_block_exponents(values: Sequence[int], block_sizes: Sequence[int]) -> t
 def tuple_witness_search(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     """Heuristic destabilising data for a non-completely-reducible tuple.
 
-    Works in the composition-series basis: collects the support weights the
+    The witness names the first series member without an invariant
+    complement; complements are solved only up to that member.  Works in the
+    composition-series basis: collects the support weights the
     adapted cocharacter strictly destabilises, projects them onto the flag
     blocks, and optimizes there, so the reported cocharacter pairs >= 0 with
     the whole tuple support and its limit is the semisimplification (which
@@ -511,28 +498,24 @@ def tuple_witness_search(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     Returns (witness, instability report over the block weights), or None
     for a completely reducible tuple.
     """
-    cr, decomp, wit = is_completely_reducible(h)
-    if cr:
+    series = _series(h)[0]
+    step = next((i for i, v in enumerate(series[1:-1], 1)
+                 if has_invariant_complement(h, v) is None), None)
+    if step is None:
         return None
+    wit = _witness(series, step)
     lam = wit.cochar
-    g = lam.conjugator
-    sup = support_of_tuple(h, g)
-    exps = lam.exponents
+    sup = support_of_tuple(h, lam.conjugator)
     strict = [chi for chi in sup.weights
-              if sum(a * c for a, c in zip(exps, chi)) > 0]
-    assert strict, "non-split module must have a strictly destabilised weight"
-    sizes = decomp.factor_dims
-    starts = []
-    acc = 0
-    for s in sizes:
-        starts.append(acc)
-        acc += s
-    blocks = []
-    for chi in strict:
-        blocks.append(tuple(sum(chi[starts[b] + k] for k in range(sizes[b]))
-                            for b in range(len(sizes))))
+              if sum(a * c for a, c in zip(lam.exponents, chi)) > 0]
+    if not strict:
+        raise AssertionError(
+            "non-split module must have a strictly destabilised weight")
+    blocks = [tuple(sum(chi[a.dim:b.dim]) for a, b in zip(series, series[1:]))
+              for chi in strict]
     report = optimal_cocharacter(WeightSet.of(blocks), budget=budget)
-    assert not report.semistable
+    if report.semistable:
+        raise AssertionError("block weights of a non-split module are semistable")
     return wit, report
 
 

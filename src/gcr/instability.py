@@ -152,7 +152,7 @@ def min_norm_point(w: WeightSet, budget: int = DEFAULT_BUDGET):
     the origin onto each affine hull, keeps projections lying inside the
     corresponding simplex, and returns the global minimizer.  Every candidate
     lies in the hull and some subset realizes the true minimum, so the least
-    candidate is it; uniqueness of the minimizer is asserted internally.
+    candidate is it; uniqueness of the minimizer is checked internally.
 
     Returns (point, coefficients over the full weight list).
     """
@@ -182,13 +182,17 @@ def min_norm_point(w: WeightSet, budget: int = DEFAULT_BUDGET):
                 ties = [point]
             elif q == best[0]:
                 ties.append(point)
-    assert best is not None
+    if best is None:
+        raise AssertionError("no candidate minimum-norm point")
     # Strict convexity makes the true minimizer unique.
-    assert all(p == best[1] for p in ties), "minimum-norm point not unique"
+    if not all(p == best[1] for p in ties):
+        raise AssertionError("minimum-norm point not unique")
     point, coeffs = best[1], best[2]
     qq = best[0]
-    assert sum(coeffs) == 1
-    assert all(_dot(point, chi) - qq >= 0 for chi in pts), "optimality margin violated"
+    if sum(coeffs) != 1:
+        raise AssertionError("hull coefficients do not sum to 1")
+    if not all(_dot(point, chi) - qq >= 0 for chi in pts):
+        raise AssertionError("optimality margin violated")
     return point, coeffs
 
 
@@ -225,9 +229,12 @@ def optimal_cocharacter(w: WeightSet, budget: int = DEFAULT_BUDGET) -> Instabili
     lam = tuple(v // g for v in ints)
     m = mu(w, lam)
     q = norm_sq(lam)
-    assert math.gcd(*(abs(v) for v in lam)) == 1
-    assert _dot(lam, point) > 0
-    assert Fraction(m * m) == value_sq * q, "certificate identity violated"
+    if math.gcd(*(abs(v) for v in lam)) != 1:
+        raise AssertionError("cocharacter is not primitive")
+    if _dot(lam, point) <= 0:
+        raise AssertionError("cocharacter does not point toward the min point")
+    if Fraction(m * m) != value_sq * q:
+        raise AssertionError("certificate identity violated")
     return InstabilityReport(False, point, value_sq, coeffs, margins, lam, m, q)
 
 

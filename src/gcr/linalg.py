@@ -526,13 +526,12 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
     for s in seeds:
         if len(s) != n:
             raise ValueError("dimension mismatch")
-    acts = span_basis(mats)
     rows: list = []
     queue = deque(seeds)
     while queue:
         row = _insert(field.p, queue.popleft(), rows)
         if row is not None:
-            queue.extend(a.apply(row) for a in acts)
+            queue.extend(a.apply(row) for a in mats)
     rows = _clear_above(field.p, rows)
     return Subspace(n, Matrix(field, len(rows), n, tuple(row for _, row in rows)))
 

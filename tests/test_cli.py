@@ -108,11 +108,10 @@ def test_run_check_adjoint_corpus():
     assert report["complements"][0] is not None
 
 
-def test_check_solves_each_complement_once(monkeypatch):
-    # composition_series keeps the complements it solves; the check report
-    # reads them, in series order, instead of solving every system again
+def count_complements(monkeypatch):
+    """(subspaces passed to engine.has_invariant_complement, in call order;
+    the unwrapped function)."""
     import gcr.engine
-    from gcr.jobs import fmt_subspace
     real = gcr.engine.has_invariant_complement
     calls = []
 
@@ -121,6 +120,14 @@ def test_check_solves_each_complement_once(monkeypatch):
         return real(h, w)
 
     monkeypatch.setattr(gcr.engine, "has_invariant_complement", counted)
+    return calls, real
+
+
+def test_check_solves_each_complement_once(monkeypatch):
+    # composition_series keeps the complements it solves; the check report
+    # reads them, in series order, instead of solving every system again
+    from gcr.jobs import fmt_subspace
+    calls, real = count_complements(monkeypatch)
     docs = [
         {"command": "check", "field": {"kind": "rationals"},
          "matrices": [[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2"]]]},
@@ -139,6 +146,34 @@ def test_check_solves_each_complement_once(monkeypatch):
         want = [real(req.matrices, w) for w in calls]
         assert report["complements"] == [None if c is None else fmt_subspace(c)
                                          for c in want]
+
+
+def test_witness_solves_complements_through_first_non_split(monkeypatch):
+    # the witness names the first series member without an invariant
+    # complement, so no complement past that member is solved; the first two
+    # tuples have proper members past it
+    from gcr.jobs import fmt_subspace
+    calls, real = count_complements(monkeypatch)
+    docs = [
+        ({"command": "witness", "field": {"kind": "rationals"},
+          "matrices": [[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2"]]]},
+         1),
+        ({"command": "witness", "field": {"kind": "prime_field", "p": 5},
+          "matrices": [[["1", "1", "0", "0"], ["0", "1", "0", "0"],
+                        ["0", "0", "1", "1"], ["0", "0", "0", "1"]]]}, 1),
+        ({"command": "witness", "field": {"kind": "rationals"},
+          "matrices": [[["2", "0", "0"], ["0", "1", "1"], ["0", "0", "1"]]]},
+         2),
+    ]
+    for doc, step in docs:
+        calls.clear()
+        req = parse_request(json.dumps(doc))
+        report = run(req)
+        flag = report["witness"]["flag"]
+        assert report["witness"]["step"] == step and len(flag) > step
+        assert [fmt_subspace(w) for w in calls] == flag[:step]
+        assert [real(req.matrices, w) is None for w in calls] == \
+            [False] * (step - 1) + [True]
 
 
 def test_cli_determinism():

@@ -171,7 +171,7 @@ try:
     engine._verify_complement(h, w, bad)
 except AssertionError as e:
     print("raised:", e)
-engine._canonical_solution = lambda w, nonpiv, x0, kern: (0,) * len(x0)
+engine.solve_affine = lambda a, b: ((0,) * a.cols, ())
 doc = {"command": "check", "field": {"kind": "rationals"},
        "matrices": [[["1", "1"], ["0", "2"]]]}
 err = io.StringIO()

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,6 +139,32 @@ def test_min_norm_examples():
     assert p == (1, 1) and coeffs == (1, 0, 0)
     p, coeffs = min_norm_point(WeightSet.of([(-1, 1), (1, -1), (2, -2)]))
     assert p == (0, 0) and sum(coeffs) == 1 and all(c >= 0 for c in coeffs)
+
+
+def test_min_norm_certificate_survives_optimize_flag():
+    # with every subset of two or more points dropped, the two singletons of
+    # [[1, 0], [0, 1]] tie at norm 1 (the true point is (1/2, 1/2)); under
+    # python -O the uniqueness guard must still raise, and the CLI must map
+    # it to exit code 3
+    code = """
+import io, json
+import gcr.instability as instability
+from gcr.cli import main
+assert False, "asserts are live"
+real = instability._project_origin_affine
+instability._project_origin_affine = (
+    lambda points: None if len(points) > 1 else real(points))
+doc = {"command": "optimize", "weights": [[1, 0], [0, 1]]}
+err = io.StringIO()
+print("exit:", main(["optimize"], stdin=io.StringIO(json.dumps(doc)),
+                    stdout=io.StringIO(), stderr=err))
+print(err.getvalue().strip())
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "exit: 3", "internal error: minimum-norm point not unique"]
 
 
 def test_min_norm_certificate_random():
