@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .jobs import COMMANDS, RequestError, parse_request, report_to_json, run
 from .linalg import BudgetExceeded
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcr",

@@ -148,52 +148,80 @@ def _project_origin_affine(points):
 def min_norm_point(w: WeightSet, budget: int = DEFAULT_BUDGET):
     """Exact minimum-norm point of conv(weights) with a hull certificate.
 
-    Enumerates affinely independent subsets of size at most rank+1, projects
-    the origin onto each affine hull, keeps projections lying inside the
-    corresponding simplex, and returns the global minimizer.  Every candidate
-    lies in the hull and some subset realizes the true minimum, so the least
-    candidate is it; uniqueness of the minimizer is checked internally.
+    Wolfe's active-set method ("Finding the nearest point in a polytope",
+    1976) finds the point p in exact arithmetic.  The coefficients are then
+    those of the first subset, by size and then lexicographically by weight
+    index, whose affine projection of the origin is p with no negative
+    coefficient.  Positive coefficients sit on the face
+    F = {i : <p, chi_i> = <p, p>}, and a zero coefficient means a smaller
+    subset comes first, so only subsets of F are searched.  Every bordered
+    Gram solve counts against the budget.
 
     Returns (point, coefficients over the full weight list).
     """
     pts = w.weights
     t = len(pts)
-    kmax = min(t, w.rank + 1)
-    total = sum(math.comb(t, k) for k in range(1, kmax + 1))
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate subsets exceed budget {budget}")
+    solves = 0
 
-    best = None  # (norm_sq, point, coeffs)
-    ties = []
-    for k in range(1, kmax + 1):
-        for subset in itertools.combinations(range(t), k):
-            chosen = [pts[i] for i in subset]
-            coeffs = _project_origin_affine(chosen)
+    def project(subset):
+        nonlocal solves
+        solves += 1
+        if solves > budget:
+            raise BudgetExceeded(f"{solves} Gram solves exceed budget {budget}")
+        return _project_origin_affine([pts[i] for i in subset])
+
+    def combine(subset, coeffs):
+        return tuple(sum(c * Fraction(pts[i][d]) for c, i in zip(coeffs, subset))
+                     for d in range(w.rank))
+
+    # Major cycle: add the weight least in the direction of x, until none
+    # lies below the hyperplane <x, .> = <x, x>.  Minor cycle: move from x
+    # toward the affine minimizer of the active set, dropping coefficients
+    # that reach 0, until the minimizer lies inside the active simplex.
+    # min() keeps the first of equal keys: ties go to the lowest index.
+    start = min(range(t), key=lambda i: norm_sq(pts[i]))
+    active, coef = [start], [Fraction(1)]
+    x = combine(active, coef)
+    while True:
+        j = min(range(t), key=lambda i: _dot(x, pts[i]))
+        if _dot(x, pts[j]) >= _dot(x, x):
+            break
+        active.append(j)
+        coef.append(Fraction(0))
+        while True:
+            alpha = project(active)
+            if alpha is None:
+                raise AssertionError("Wolfe active set is affinely dependent")
+            if coef[-1] == 0 and alpha[-1] <= 0:
+                raise AssertionError("Wolfe step does not descend")
+            theta = min([c / (c - a) for c, a in zip(coef, alpha) if a <= 0],
+                        default=Fraction(1))
+            coef = [theta * a + (1 - theta) * c for c, a in zip(coef, alpha)]
+            active = [i for i, c in zip(active, coef) if c != 0]
+            coef = [c for c in coef if c != 0]
+            x = combine(active, coef)
+            if theta == 1:
+                break
+
+    qq = _dot(x, x)
+    face = [i for i in range(t) if _dot(x, pts[i]) == qq]
+    for k in range(1, min(len(face), w.rank + 1) + 1):
+        for subset in itertools.combinations(face, k):
+            coeffs = project(subset)
             if coeffs is None or any(c < 0 for c in coeffs):
                 continue
-            point = tuple(sum(c * Fraction(x[d]) for c, x in zip(coeffs, chosen))
-                          for d in range(w.rank))
-            q = _dot(point, point)
-            if best is None or q < best[0]:
-                full = [Fraction(0)] * t
-                for i, c in zip(subset, coeffs):
-                    full[i] = c
-                best = (q, point, tuple(full))
-                ties = [point]
-            elif q == best[0]:
-                ties.append(point)
-    if best is None:
-        raise AssertionError("no candidate minimum-norm point")
-    # Strict convexity makes the true minimizer unique.
-    if not all(p == best[1] for p in ties):
-        raise AssertionError("minimum-norm point not unique")
-    point, coeffs = best[1], best[2]
-    qq = best[0]
-    if sum(coeffs) != 1:
-        raise AssertionError("hull coefficients do not sum to 1")
-    if not all(_dot(point, chi) - qq >= 0 for chi in pts):
-        raise AssertionError("optimality margin violated")
-    return point, coeffs
+            point = combine(subset, coeffs)
+            if point != x:
+                continue
+            full = [Fraction(0)] * t
+            for i, c in zip(subset, coeffs):
+                full[i] = c
+            if sum(full) != 1:
+                raise AssertionError("hull coefficients do not sum to 1")
+            if not all(_dot(point, chi) - qq >= 0 for chi in pts):
+                raise AssertionError("optimality margin violated")
+            return point, tuple(full)
+    raise AssertionError("no candidate minimum-norm point")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import engine, selftest
+from . import engine
 from .cochar import Cocharacter, limit_conj, limit_tuple
 from .instability import InstabilityReport, WeightSet, optimal_cocharacter
 from .linalg import DEFAULT_BUDGET, Field, Matrix, MatrixTuple, Subspace
@@ -327,6 +327,7 @@ def _run_orbit_dim(req: JobRequest) -> dict:
 
 
 def _run_selftest(req: JobRequest) -> dict:
+    from . import selftest
     return selftest.run_cases(selftest.default_cases(budget=req.budget))
 
 

@@ -219,6 +219,42 @@ def fm_feasible(weights) -> bool:
     return all(b <= 0 for _, b in rows)
 
 
+def enumerate_min_norm_point(w):
+    """Minimum-norm point of conv(w.weights) by enumerating subsets.
+
+    Projects the origin onto the affine hull of every subset of size at
+    most rank + 1, keeps the projections with no negative coefficient, and
+    returns the least one: the first subset (by size, then lexicographically
+    by weight index) that attains it gives the coefficients.  The minimizer
+    of a strictly convex norm is unique, so every tie must be the same
+    point.  Returns (point, coefficients over the full weight list).
+    """
+    from gcr.instability import _project_origin_affine
+    pts = w.weights
+    t = len(pts)
+    best = None  # (norm_sq, point, coeffs)
+    ties = []
+    for k in range(1, min(t, w.rank + 1) + 1):
+        for subset in itertools.combinations(range(t), k):
+            chosen = [pts[i] for i in subset]
+            coeffs = _project_origin_affine(chosen)
+            if coeffs is None or any(c < 0 for c in coeffs):
+                continue
+            point = tuple(sum(c * Fraction(x[d]) for c, x in zip(coeffs, chosen))
+                          for d in range(w.rank))
+            q = sum(x * x for x in point)
+            if best is None or q < best[0]:
+                full = [Fraction(0)] * t
+                for i, c in zip(subset, coeffs):
+                    full[i] = c
+                best = (q, point, tuple(full))
+                ties = [point]
+            elif q == best[0]:
+                ties.append(point)
+    assert all(p == best[1] for p in ties), "minimum-norm point not unique"
+    return best[1], best[2]
+
+
 # -- invariant-complement oracle ---------------------------------------------
 
 def all_subspaces(field, n):

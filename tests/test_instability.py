@@ -11,9 +11,10 @@ from gcr.instability import (BoxOptimum, WeightSet, _project_origin_affine,
                              brute_force_optimum, f_compare, min_norm_point,
                              mu, mu_conjugated, norm_sq, optimal_cocharacter,
                              support_of_tuple)
-from gcr.linalg import GF, QQ, BudgetExceeded, Matrix, MatrixTuple
+from gcr.linalg import (DEFAULT_BUDGET, GF, QQ, BudgetExceeded, Matrix,
+                         MatrixTuple)
 
-from helpers import fm_feasible, random_weight_set
+from helpers import enumerate_min_norm_point, fm_feasible, random_weight_set
 
 
 def mat(field, rows):
@@ -142,10 +143,10 @@ def test_min_norm_examples():
 
 
 def test_min_norm_certificate_survives_optimize_flag():
-    # with every subset of two or more points dropped, the two singletons of
-    # [[1, 0], [0, 1]] tie at norm 1 (the true point is (1/2, 1/2)); under
-    # python -O the uniqueness guard must still raise, and the CLI must map
-    # it to exit code 3
+    # with every bordered Gram solve of two or more points failing, the
+    # first Wolfe step on [[1, 0], [0, 1]] finds its active set affinely
+    # dependent; under python -O that guard must still raise, and the CLI
+    # must map it to exit code 3
     code = """
 import io, json
 import gcr.instability as instability
@@ -164,7 +165,88 @@ print(err.getvalue().strip())
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "exit: 3", "internal error: minimum-norm point not unique"]
+        "exit: 3", "internal error: Wolfe active set is affinely dependent"]
+
+
+def _nonzero(rng, rank, bound):
+    while True:
+        v = tuple(rng.randint(-bound, bound) for _ in range(rank))
+        if any(v):
+            return v
+
+
+def _weight_family(rng, kind, rank, size):
+    """At most `size` weights of one shape: semistable (0 in the hull),
+    unstable (inside an open half-space), collinear, or with repeated
+    directions.  Low ranks have few small weights, so draws are capped."""
+    ws = set()
+    normal = _nonzero(rng, rank, 3)
+    for _ in range(20 * size):
+        if len(ws) >= size - (kind == "semistable"):
+            break
+        if kind == "semistable":
+            ws.add(_nonzero(rng, rank, 3))
+        elif kind == "unstable":
+            v = _nonzero(rng, rank, 4)
+            if sum(a * b for a, b in zip(normal, v)) > 0:
+                ws.add(v)
+        elif kind == "collinear":
+            k = rng.randint(-4, 4)
+            ws.add(tuple(k * x for x in normal))
+        else:
+            d = _nonzero(rng, rank, 2)
+            for k in rng.sample([1, 2, 3], min(3, size - len(ws))):
+                ws.add(tuple(k * x for x in d))
+    if kind == "semistable":
+        some = rng.sample(sorted(ws), rng.randint(1, len(ws)))
+        ws.add(tuple(-sum(v[d] for v in some) for d in range(rank)))
+    return WeightSet.of(sorted(ws))
+
+
+def test_min_norm_point_equals_enumerator():
+    # Wolfe's point with the face search returns exactly what the subset
+    # enumerator returns, point and full coefficient tuple
+    rng = random.Random(41)
+    for kind in ("semistable", "unstable", "collinear", "duplicate"):
+        for rank in range(1, 6):
+            for _ in range(3):
+                w = _weight_family(rng, kind, rank, rng.randint(2, 11))
+                got = min_norm_point(w)
+                assert got == enumerate_min_norm_point(w), (kind, w)
+                if kind == "semistable":
+                    assert not any(got[0])
+                if kind == "unstable":
+                    assert any(got[0])
+
+
+def test_min_norm_rank_6_half_space_within_default_budget():
+    # 30 weights of rank 6 have sum_{k <= 7} C(30, k) > DEFAULT_BUDGET
+    # subsets, but Wolfe's method needs only a few solves
+    assert sum(math.comb(30, k) for k in range(1, 8)) > DEFAULT_BUDGET
+    rng = random.Random(43)
+    normal = (3, -1, 2, 1, -2, 1)
+    ws = set()
+    while len(ws) < 30:
+        v = _nonzero(rng, 6, 3)
+        if sum(a * b for a, b in zip(normal, v)) > 0:
+            ws.add(v)
+    w = WeightSet.of(sorted(ws))
+    p, coeffs = min_norm_point(w)
+    assert any(p) and sum(coeffs) == 1 and all(c >= 0 for c in coeffs)
+    for d in range(6):
+        assert p[d] == sum(c * x[d] for c, x in zip(coeffs, w.weights))
+    qq = sum(x * x for x in p)
+    assert all(sum(a * b for a, b in zip(p, chi)) >= qq for chi in w.weights)
+
+
+def test_min_norm_budget_counts_solves():
+    # one solve for the Wolfe step onto the pair, then the singletons and
+    # the pair of the face: four bordered Gram solves in all
+    w = WeightSet.of([(2, 0), (0, 2)])
+    for budget in (0, 3):
+        with pytest.raises(BudgetExceeded):
+            min_norm_point(w, budget=budget)
+    assert min_norm_point(w, budget=4) == min_norm_point(w)
 
 
 def test_min_norm_certificate_random():
