@@ -4,10 +4,9 @@ A finitely generated subgroup of GL_n is completely reducible exactly when
 the natural module is a direct sum of irreducibles, which this engine
 decides by exact linear algebra: composition series via spinning, invariant
 complements via the Sylvester system A X - X C = -B of the generators in a
-basis adapted to the subspace (with a canonical choice among its
-solutions), witnesses as flags whose named member has no invariant
-complement, and semisimplification as the limit under a flag-adapted
-cocharacter.
+basis adapted to the subspace, witnesses as flags whose named member has no
+invariant complement, and semisimplification as the limit under a
+flag-adapted cocharacter.
 
 F_q and the rationals are perfect, so deciding over the base field agrees
 with the algebraically closed notion for the module criterion.
@@ -23,9 +22,8 @@ from .cochar import (Cocharacter, cocharacter_from_flag, limit_tuple,
                      parabolic_of)
 from .instability import WeightSet, optimal_cocharacter, support_of_tuple
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Field, Matrix,
-                     MatrixTuple, Subspace, _insert, _reduce, commutant,
-                     kernel_basis, solve_affine, span_basis, spin,
-                     sylvester_rows)
+                     MatrixTuple, Subspace, commutant, kernel_basis,
+                     solve_affine, span_basis, spin, sylvester_rows)
 
 
 @dataclass(frozen=True)
@@ -89,27 +87,6 @@ def _verify_complement(h: MatrixTuple, w: Subspace, comp: Subspace) -> None:
         raise AssertionError("complement is not invariant")
 
 
-def _projection(w: Subspace, nonpiv: Sequence[int], x: Sequence,
-                affine: bool) -> list:
-    """Entries pi[i][j], at i*n + j, of the projection onto w along the
-    complement that a solution x of the Sylvester system names.
-
-    pi e_j = -sum_b X[b][j] w_b for non-pivot j, and pi is the identity on
-    w, so pi e_{p_a} = w_a - sum_j w_a[j] pi e_j.  With affine False this is
-    the linear part alone (the identity on w dropped).
-    """
-    field, n = w.field, w.ambient
-    rows, m = w.basis.entries, len(nonpiv)
-    col = {}
-    for jj, j in enumerate(nonpiv):
-        col[j] = [-sum(x[b * m + jj] * wb[i] for b, wb in enumerate(rows))
-                  for i in range(n)]
-    for wa, pa in zip(rows, w.pivots):
-        col[pa] = [(wa[i] if affine else 0)
-                   - sum(wa[j] * col[j][i] for j in nonpiv) for i in range(n)]
-    return [field(col[j][i]) for i in range(n) for j in range(n)]
-
-
 def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
     """Invariant complement of an invariant subspace, or None.
 
@@ -119,15 +96,10 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
     p_b of column j of h, and C is the action on V/w modelled on N.  The
     invariant complements are span{e_j + sum_b X[b][j] w_b} for the
     solutions X of the Sylvester system A X - X C = -B, which has d(n-d)
-    unknowns.  The one returned is canonical: ker pi_0, where pi_0 is the
-    equivariant projection onto w that vanishes at the free positions of
-    the n^2-unknown system for such projections (pi h = h pi, pi|_w = id,
-    im pi in w).  That system's kernel is the image of the Sylvester kernel,
-    and a column of its RREF is free iff some kernel vector has its last
-    nonzero entry there, so pi_0 is the projection of the particular
-    solution reduced against the echelon rows of the kernel projections,
-    taken on reversed columns.  The complement is re-verified to be stable,
-    transverse and exhaustive.
+    unknowns.  The one returned is named by its particular solution (free
+    unknowns zero, unknown X[b][j] at b*|N| + j), which depends only on the
+    solution set, hence only on the algebra the generators span and on w.
+    The complement is re-verified to be stable, transverse and exhaustive.
     """
     n = h.dim
     field = h.field
@@ -151,13 +123,10 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
                               tuple(system)), rhs)
     if sol is None:
         return None
-    x0, kern = sol
-    echelon: list = []
-    for k in kern:
-        _insert(field.p, _projection(w, nonpiv, k, False)[::-1], echelon)
-    pi = _reduce(field.p, _projection(w, nonpiv, x0, True)[::-1], echelon)[::-1]
+    x, m = sol[0], len(nonpiv)
     comp = Subspace.from_vectors(field, n, [
-        [int(i == j) - pi[i * n + j] for i in range(n)] for j in range(n)])
+        [int(i == j) + sum(x[b * m + jj] * wb[i] for b, wb in enumerate(rows))
+         for i in range(n)] for jj, j in enumerate(nonpiv)])
     _verify_complement(h, w, comp)
     return comp
 

@@ -71,9 +71,13 @@ def _parse_field(obj, path) -> Field:
 def _parse_scalar(obj, field: Field, path):
     ok = isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool))
     _expect(ok, path, "expected a decimal string")
-    if field.p is not None and isinstance(obj, str):
-        _expect(obj.lstrip().isdigit(), path,
-                "prime-field entries are non-negative decimal strings")
+    if isinstance(obj, str):
+        if field.p is not None:
+            _expect(obj.lstrip().isdigit(), path,
+                    "prime-field entries are non-negative decimal strings")
+        else:
+            _expect("e" not in obj and "E" not in obj, path,
+                    "rational entries are 'a/b' strings; no exponent notation")
     try:
         return field(obj)
     except (ValueError, TypeError, ZeroDivisionError) as e:
@@ -116,7 +120,9 @@ def parse_request(text) -> JobRequest:
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # ValueError covers JSONDecodeError and integer literals over
+            # the interpreter's digit limit; RecursionError, deep nesting
             raise RequestError("$", f"invalid JSON: {e}") from None
     else:
         doc = text

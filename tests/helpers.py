@@ -267,13 +267,12 @@ def all_subspaces(field, n):
     return sorted(seen, key=lambda s: (s.dim, s.basis.entries))
 
 
-def projection_complement(h: MatrixTuple, w: Subspace):
-    """Invariant complement of w as ker pi_0, or None, by the n^2 system.
+def _projection_solutions(h: MatrixTuple, w: Subspace):
+    """solve_affine of the n^2 system for the equivariant projections onto w.
 
     pi ranges over the n x n matrices (unknown pi[i][j] at i*n + j) with
-    pi h = h pi for every generator, pi|_w = id and image in w; pi_0 is the
-    solution whose free unknowns are zero.  Test oracle only: the engine
-    solves the smaller Sylvester system and must return this same subspace.
+    pi h = h pi for every generator, pi|_w = id and image in w.  Returns
+    (particular solution, kernel basis), or None when there is none.
     """
     n, field = h.dim, h.field
     zero = field.zero
@@ -302,10 +301,64 @@ def projection_complement(h: MatrixTuple, w: Subspace):
                 row[i * n + j] = f[i]
             rows.append(tuple(row))
             rhs.append(zero)
-    sol = solve_affine(Matrix(field, len(rows), n * n, tuple(rows)), rhs)
+    return solve_affine(Matrix(field, len(rows), n * n, tuple(rows)), rhs)
+
+
+def projection_complement(h: MatrixTuple, w: Subspace):
+    """Invariant complement of w as ker pi_0, or None, by the n^2 system.
+
+    pi_0 is the equivariant projection onto w whose free unknowns are zero.
+    Test oracle only: the engine solves the smaller Sylvester system and
+    returns None exactly when this does; which complement it returns is
+    pinned by sylvester_complement.
+    """
+    sol = _projection_solutions(h, w)
     if sol is None:
         return None
-    x = sol[0]
-    pi = Matrix(field, n, n, tuple(tuple(x[i * n + j] for j in range(n))
-                                   for i in range(n)))
-    return Subspace.from_vectors(field, n, kernel_basis(pi))
+    n, x = h.dim, sol[0]
+    pi = Matrix(h.field, n, n, tuple(tuple(x[i * n + j] for j in range(n))
+                                     for i in range(n)))
+    return Subspace.from_vectors(h.field, n, kernel_basis(pi))
+
+
+def sylvester_complement(h: MatrixTuple, w: Subspace):
+    """The invariant complement named by the Sylvester solution whose free
+    unknowns are zero, or None, from the projections of the n^2 system.
+
+    With w_b the RREF rows of w at pivots p_b and N the non-pivot
+    coordinates, a projection pi names ker pi = span{e_j - pi e_j : j in N},
+    that is X[b][j] = -(pi e_j)[p_b], flattened at b*|N| + j.  A column of the
+    Sylvester system's RREF is free iff some kernel direction has its last
+    nonzero entry there, so the wanted X is the particular one reduced
+    against the Gauss-Jordan rows of the kernel directions on reversed
+    columns.  Test oracle only: it calls neither has_invariant_complement
+    nor sylvester_rows.
+    """
+    sol = _projection_solutions(h, w)
+    if sol is None:
+        return None
+    field, n = h.field, h.dim
+    piv = w.pivots
+    nonpiv = [j for j in range(n) if j not in piv]
+
+    def sylvester_x(pi):
+        return [field.neg(pi[pb * n + j]) for pb in piv for j in nonpiv]
+
+    x = sylvester_x(sol[0])[::-1]
+    kern = [sylvester_x(k)[::-1] for k in sol[1]]
+    if kern:
+        red, pivots, _ = gauss_jordan(Matrix(field, len(kern), len(x),
+                                             tuple(map(tuple, kern))))
+        for row, c in zip(red.entries, pivots):
+            f = x[c]
+            x = [field.sub(a, field.mul(f, b)) for a, b in zip(x, row)]
+    x = x[::-1]
+    m = len(nonpiv)
+    vecs = []
+    for jj, j in enumerate(nonpiv):
+        v = [field.zero] * n
+        v[j] = field.one
+        for b, wb in enumerate(w.basis.entries):
+            v = [field.add(a, field.mul(x[b * m + jj], c)) for a, c in zip(v, wb)]
+        vecs.append(v)
+    return Subspace.from_vectors(field, n, vecs)

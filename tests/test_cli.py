@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -198,6 +199,29 @@ def test_cli_invalid_input_exit_1():
     doc = dict(LIMIT_JOB, field={"kind": "prime_field", "p": 4})
     code, _, err = run_cli(["limit"], json.dumps(doc))
     assert code == 1 and "not prime" in err
+
+
+def test_cli_deeply_nested_json_exit_1():
+    code, out, err = run_cli(["check"], "[" * 100000 + "]" * 100000)
+    assert code == 1 and out == ""
+    assert err.startswith("error: $: invalid JSON:")
+
+
+def test_cli_huge_integer_literal_exit_1():
+    doc = '{"command": "check", "budget": ' + "9" * 5000 + "}"
+    code, out, err = run_cli(["check"], doc)
+    assert code == 1 and out == ""
+    assert err.startswith("error: $: invalid JSON:")
+
+
+def test_cli_rational_exponent_notation_refused_fast():
+    doc = {"command": "check", "field": {"kind": "rationals"},
+           "matrices": [[["1e999999999"]]]}
+    start = time.monotonic()
+    code, out, err = run_cli(["check"], json.dumps(doc))
+    assert time.monotonic() - start < 1
+    assert code == 1 and out == ""
+    assert "$.matrices[0][0][0]" in err and "exponent" in err
 
 
 def test_cli_command_mismatch():

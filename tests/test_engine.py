@@ -12,12 +12,14 @@ from gcr.engine import (block_diagonal, borel_tits_flag, composition_series,
                         orbit_dimension, product_check, ru_conjugator,
                         semisimplify, tuple_witness_search, verify_witness)
 from gcr.instability import mu, support_of_tuple
+from gcr.jobs import JobRequest, run
 from gcr.linalg import (GF, QQ, BudgetExceeded, Matrix, MatrixTuple, Subspace,
                         commutant)
 from gcr.selftest import adjoint_sl2_tuple
 
 from helpers import (all_subspaces, projection_complement, random_gl_tuple,
-                     random_invertible, raw_tuple, tuples_conjugate)
+                     random_invertible, raw_tuple, sylvester_complement,
+                     tuples_conjugate)
 
 
 def mat(field, rows):
@@ -107,8 +109,8 @@ def _flagged_tuple(rng, field, n, m):
 
 def _assert_matches_oracle(h, w):
     got = has_invariant_complement(h, w)
-    want = projection_complement(h, w)
-    assert got == want, (h, w)
+    assert (got is None) == (projection_complement(h, w) is None), (h, w)
+    assert got == sylvester_complement(h, w), (h, w)
 
 
 def test_complement_matches_projection_oracle_seeded():
@@ -153,6 +155,43 @@ def test_complement_matches_oracle_identity_and_scalar_tuples():
             for d in range(n + 1):
                 vecs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
                 _assert_matches_oracle(h, Subspace.from_vectors(field, n, vecs))
+
+
+def _triangular_tuple(rng, field, n, m):
+    """m upper triangular generators with diagonal entries 1 or 3."""
+    return tup(field, *(mat(field, [[rng.choice((1, 3)) if i == j else
+                                     rng.randint(-2, 2) if i < j else 0
+                                     for j in range(n)] for i in range(n)])
+                        for _ in range(m)))
+
+
+def _check_report(h):
+    report = run(JobRequest(command="check", field=h.field, matrices=h))
+    del report["elapsed_ms"]
+    return report
+
+
+def test_check_report_independent_of_generator_presentation():
+    # series, complements and witness depend only on the algebra the
+    # generators span: permuting them, repeating one and appending the
+    # product of two leaves the check report unchanged; the unconjugated
+    # triangular tuples give non-split series over the large fields too
+    rng = random.Random(5081)
+    for field in (GF(2), GF(7), GF(65537), QQ):
+        for trial in range(9):
+            n, m = rng.randint(2, 5), rng.choice([2, 3])
+            if trial % 3 == 2:
+                h = _triangular_tuple(rng, field, n, m)
+            else:
+                h = _flagged_tuple(rng, field, n, m)
+            if trial % 3 == 1:
+                h = block_diagonal(h, _flagged_tuple(rng, field, 2, m))
+            gens = list(h.components)
+            rng.shuffle(gens)
+            gens.append(rng.choice(gens))
+            a, b = rng.sample(list(h.components), 2)
+            gens.append(a * b)
+            assert _check_report(MatrixTuple.make(field, gens)) == _check_report(h)
 
 
 def test_verify_complement_survives_optimize_flag():
