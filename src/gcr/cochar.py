@@ -12,7 +12,9 @@ Entry conditions, for a diagonal cocharacter with exponents e:
   x in R_u iff x in P and the equal-exponent diagonal blocks are identity
 and conjugation under the cocharacter scales entry (i, j) by a^(e[i]-e[j]),
 so the limit at a -> 0 exists iff x is in the P pattern and then zeroes every
-entry with e[i] > e[j].
+entry with e[i] > e[j].  So x is in P, L or R_u exactly when its limit
+exists, equals x, or equals the identity, which is how ParabolicData tests
+membership.
 """
 
 from __future__ import annotations
@@ -90,29 +92,15 @@ class ParabolicData:
 
     def contains_p(self, x: Matrix) -> bool:
         self._check(x)
-        e = self.exponents
-        return all(x.entries[i][j] == 0
-                   for i in range(x.rows) for j in range(x.cols)
-                   if e[i] < e[j])
+        return _limit_diagonal(self.exponents, x) is not None
 
     def contains_levi(self, x: Matrix) -> bool:
         self._check(x)
-        e = self.exponents
-        return all(x.entries[i][j] == 0
-                   for i in range(x.rows) for j in range(x.cols)
-                   if e[i] != e[j])
+        return _limit_diagonal(self.exponents, x) == x
 
     def contains_ru(self, x: Matrix) -> bool:
         self._check(x)
-        if not self.contains_p(x):
-            return False
-        e = self.exponents
-        one, zero = x.field.one, x.field.zero
-        for i in range(x.rows):
-            for j in range(x.cols):
-                if e[i] == e[j] and x.entries[i][j] != (one if i == j else zero):
-                    return False
-        return True
+        return _limit_diagonal(self.exponents, x) == Matrix.identity(x.field, x.rows)
 
     def free_ru_positions(self) -> tuple:
         """Entry positions free in R_u(P): (i, j) with e[i] > e[j], row major."""

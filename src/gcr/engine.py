@@ -210,31 +210,31 @@ def _minimal_invariant(acts: Sequence[Matrix], field: Field, d: int) -> Subspace
 
 def _series(h: MatrixTuple):
     """Composition series (zero through full) with irreducible quotients,
-    and the commutant dimension of each factor action."""
+    and the action matrices of each factor in its RREF basis."""
     field = h.field
-    factor_comm = []
+    factors = []
 
     def step(qacts):
         sub = _minimal_invariant(qacts, field, qacts[0].rows)
-        # factor action in the RREF basis of sub, for the commutant dimension
         fdim = sub.dim
         fmats = []
         for a in qacts:
             cols = [sub.coords(a.apply(row)) for row in sub.basis.entries]
             ent = tuple(tuple(cols[c][r] for c in range(fdim)) for r in range(fdim))
             fmats.append(Matrix(field, fdim, fdim, ent))
-        factor_comm.append(len(commutant(fmats)))
+        factors.append(fmats)
         return sub.basis.entries
 
-    return _flag(h, step), tuple(factor_comm)
+    return _flag(h, step), factors
 
 
 def composition_series(h: MatrixTuple) -> ModuleDecomposition:
     """Composition series of the natural module with irreducible quotients,
     and the invariant complement of each proper member."""
-    series, factor_comm = _series(h)
-    return ModuleDecomposition(series, factor_comm, tuple(
-        has_invariant_complement(h, v) for v in series[1:-1]))
+    series, factors = _series(h)
+    return ModuleDecomposition(
+        series, tuple(len(commutant(f)) for f in factors),
+        tuple(has_invariant_complement(h, v) for v in series[1:-1]))
 
 
 def _witness(series: tuple, step: int) -> WitnessParabolic:
@@ -342,50 +342,66 @@ def product_check(h1: MatrixTuple, h2: MatrixTuple):
             is_completely_reducible(emb)[0])
 
 
-def ru_conjugator(h: MatrixTuple, lam: Cocharacter,
-                  budget: int = DEFAULT_BUDGET) -> Optional[Matrix]:
-    """Search R_u(P_lam) over a finite field for u with lam fixing u.h.
+def ru_conjugator(h: MatrixTuple, lam: Cocharacter) -> Optional[Matrix]:
+    """u in R_u(P_lam) with u.h equal to the limit of h under lam, or None.
 
-    When such u exists the limit of h under lam equals u.h componentwise, so
-    the limit stays in the orbit; absence certifies (at desk scale) that the
-    limit leaves the orbit.  Returns the lexicographically least witness.
+    When u exists the limit stays in the orbit; None certifies that it
+    leaves the orbit.  In the core basis (g^-1 . g) write u = I + N with N on
+    the free R_u positions: u c u^-1 = l is the affine system l N - N c =
+    c - l for each component c and its limit l.  The unknowns run over the
+    free positions in reverse, so the particular solution (free unknowns
+    zero) is the lexicographically least u over F_p, and canonical over Q.
     """
-    field = h.field
-    if field.p is None:
-        raise ValueError("finite base field required")
-    if lam.n != h.dim:
+    field, n = h.field, h.dim
+    if lam.n != n:
         raise ValueError("dimension mismatch")
     lim = limit_tuple(lam, h)
     if lim is None:
         raise ValueError("limit does not exist")
 
-    g = lam.conjugator
-    core = Cocharacter(lam.exponents)
-    if g is not None:
-        gi = g.inverse()
-        comps = [gi * c * g for c in h.components]
-    else:
-        gi = None
-        comps = list(h.components)
-    pd = parabolic_of(core)
-    free = pd.free_ru_positions()
-    count = field.p ** len(free)
-    if count > budget:
-        raise BudgetExceeded(f"{count} unipotent candidates exceed budget {budget}")
-    for u0 in pd.enumerate_ru(field):
-        u0i = u0.inverse()
-        if all(pd.contains_levi(u0 * c * u0i) for c in comps):
-            u = g * u0 * gi if g is not None else u0
-            ui = u.inverse()
-            if not all(u * c * ui == lc
-                       for c, lc in zip(h.components, lim.components)):
-                raise AssertionError("conjugated tuple is not the limit")
-            return u
-    return None
+    g = lam.conjugator if lam.conjugator is not None else Matrix.identity(field, n)
+    gi = g.inverse()
+    pairs, rhs = [], []
+    for c, lc in zip(h.components, lim.components):
+        c0, l0 = gi * c * g, gi * lc * g
+        pairs.append((l0, c0))
+        rhs.extend(x for row in (c0 - l0).entries for x in row)
+    cols = [i * n + j for i, j in
+            reversed(parabolic_of(Cocharacter(lam.exponents)).free_ru_positions())]
+    system = [tuple(row[k] for k in cols) for row in sylvester_rows(pairs)]
+    sol = solve_affine(Matrix(field, len(system), len(cols), tuple(system)), rhs)
+    if sol is None:
+        return None
+    x = dict(zip(cols, sol[0]))
+    u0 = Matrix(field, n, n, tuple(
+        tuple(x.get(i * n + j, field.one if i == j else field.zero)
+              for j in range(n)) for i in range(n)))
+    u = g * u0 * gi
+    ui = u.inverse()
+    if not all(u * c * ui == lc for c, lc in zip(h.components, lim.components)):
+        raise AssertionError("conjugated tuple is not the limit")
+    return u
 
 
 def _entry_key(m: Matrix):
     return tuple(x for row in m.entries for x in row)
+
+
+def _closure(start, moves, budget: int, what: str) -> list:
+    """Breadth-first closure of start under moves(a), in discovery order."""
+    seen = dict.fromkeys(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for c in moves(a):
+                if c not in seen:
+                    seen[c] = None
+                    if len(seen) > budget:
+                        raise BudgetExceeded(f"{what} exceeds budget {budget}")
+                    nxt.append(c)
+        frontier = nxt
+    return list(seen)
 
 
 def enumerate_group(gens, budget: int = DEFAULT_BUDGET) -> list:
@@ -396,53 +412,38 @@ def enumerate_group(gens, budget: int = DEFAULT_BUDGET) -> list:
         raise ValueError("no generators")
     if mats[0].field.p is None:
         raise ValueError("finite base field required")
-    seen = {}
-    frontier = []
-    for m in mats:
-        if m not in seen:
-            seen[m] = None
-            frontier.append(m)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in mats:
-                c = a * b
-                if c not in seen:
-                    seen[c] = None
-                    if len(seen) > budget:
-                        raise BudgetExceeded(
-                            f"group order exceeds budget {budget}")
-                    nxt.append(c)
-        frontier = nxt
-    return list(seen)
+    return _closure(mats, lambda a: (a * b for b in mats), budget, "group order")
 
 
 def normal_closure(h: MatrixTuple, indices: Sequence[int],
                    budget: int = DEFAULT_BUDGET) -> MatrixTuple:
     """Smallest normal subgroup of the generated group containing the
     selected generators, returned as the tuple of all its elements in a
-    deterministic (entry-sorted) order."""
+    deterministic (entry-sorted) order.
+
+    The breadth-first closure of the seeds under right multiplication by a
+    seed and conjugation by a generator is closed under conjugation by the
+    whole (finite) group, and under right multiplication by every conjugate,
+    since a g s g^-1 = g (g^-1 a g) s g^-1; so it is the normal closure.  The
+    group itself is never enumerated: the budget caps the closure's order.
+    """
     field = h.field
     if field.p is None:
         raise ValueError("finite base field required")
     for i in indices:
         if not 0 <= i < len(h):
             raise ValueError(f"generator index out of range: {i}")
-    group = enumerate_group(h, budget=budget)
-    ident = Matrix.identity(field, h.dim)
-    seeds = [h[i] for i in indices]
+    seeds = list(dict.fromkeys(h[i] for i in indices))
     if not seeds:
-        return MatrixTuple(field, h.dim, (ident,))
-    # the subgroup generated by all conjugates of the seeds is normal and is
-    # the smallest normal subgroup containing them
-    conjugates = set()
-    for g in group:
-        gi = g.inverse()
-        for s in seeds:
-            conjugates.add(g * s * gi)
-    closure = enumerate_group(sorted(conjugates, key=_entry_key), budget=budget)
-    elements = sorted(closure, key=_entry_key)
-    return MatrixTuple(field, h.dim, tuple(elements))
+        return MatrixTuple(field, h.dim, (Matrix.identity(field, h.dim),))
+    conj = [(g, g.inverse()) for g in h.components]
+
+    def moves(a):
+        yield from (a * s for s in seeds)
+        yield from (g * a * gi for g, gi in conj)
+
+    closure = _closure(seeds, moves, budget, "normal closure order")
+    return MatrixTuple(field, h.dim, tuple(sorted(closure, key=_entry_key)))
 
 
 def lift_block_exponents(values: Sequence[int], block_sizes: Sequence[int]) -> tuple:

@@ -362,3 +362,48 @@ def sylvester_complement(h: MatrixTuple, w: Subspace):
             v = [field.add(a, field.mul(x[b * m + jj], c)) for a, c in zip(v, wb)]
         vecs.append(v)
     return Subspace.from_vectors(field, n, vecs)
+
+
+# -- enumeration oracles for R_u conjugators and normal closures -------------
+
+def enumerate_ru_conjugator(h: MatrixTuple, lam):
+    """The lexicographically least u in R_u(P_lam) with u.h the limit of h
+    under lam, by trying every member of R_u(P_lam) over F_p, or None.
+
+    Works on raw tuples in the core basis (g^-1 . g): with l the limit of c
+    (c with every entry at e[i] > e[j] zeroed), a member u0 works iff
+    u0 c == l u0 for every component c.
+    """
+    field, n, p = h.field, h.dim, h.field.p
+    e = lam.exponents
+    g = lam.conjugator if lam.conjugator is not None else Matrix.identity(field, n)
+    gi = g.inverse()
+    comps = [to_raw(gi * c * g) for c in h.components]
+    lims = [tuple(tuple(0 if e[i] > e[j] else c[i][j] for j in range(n))
+                  for i in range(n)) for c in comps]
+    free = [(i, j) for i in range(n) for j in range(n) if e[i] > e[j]]
+    for values in itertools.product(range(p), repeat=len(free)):
+        u0 = [list(r) for r in rident(n)]
+        for (i, j), v in zip(free, values):
+            u0[i][j] = v
+        if all(rmul(p, u0, c) == rmul(p, lc, u0) for c, lc in zip(comps, lims)):
+            return g * to_matrix(field, u0) * gi
+    return None
+
+
+def enumerate_normal_closure(h: MatrixTuple, indices):
+    """Normal closure of the selected generators over a finite field: every
+    conjugate of the seeds by every group element, then the group they
+    generate, entry-sorted."""
+    from gcr.engine import enumerate_group
+    field = h.field
+    seeds = [h[i] for i in indices]
+    if not seeds:
+        return (Matrix.identity(field, h.dim),)
+    conjugates = {g * s * g.inverse() for g in enumerate_group(h) for s in seeds}
+    return tuple(sorted(enumerate_group(sorted(conjugates, key=_entry_key)),
+                        key=_entry_key))
+
+
+def _entry_key(m: Matrix):
+    return tuple(x for row in m.entries for x in row)
