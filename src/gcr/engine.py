@@ -14,6 +14,7 @@ with the algebraically closed notion for the module criterion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,9 +22,9 @@ from typing import Optional, Sequence
 from .cochar import (Cocharacter, cocharacter_from_flag, limit_tuple,
                      parabolic_of)
 from .instability import WeightSet, optimal_cocharacter, support_of_tuple
-from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Field, Matrix,
-                     MatrixTuple, Subspace, commutant, kernel_basis,
-                     solve_affine, span_basis, spin, sylvester_rows)
+from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Matrix, MatrixTuple,
+                     Subspace, commutant, kernel_basis, solve_affine,
+                     span_basis, spin, sylvester_rows, _reduce)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
 
     Let d = dim w, with RREF rows w_b at pivots p_b, and N the non-pivot
     coordinates.  In the basis (w_1..w_d, e_j for j in N) every generator
-    is [[A, B], [0, C]]: A[b][c] is entry p_b of h w_c, B[b][j] is entry
-    p_b of column j of h, and C is the action on V/w modelled on N.  The
+    is [[A, B], [0, C]]: A is the action on w (A[b][c] is entry p_b of
+    h w_c), B[b][j] is entry p_b of column j of h, and C is the action on
+    V/w modelled on N; both come from _action.  The
     invariant complements are span{e_j + sum_b X[b][j] w_b} for the
     solutions X of the Sylvester system A X - X C = -B, which has d(n-d)
     unknowns.  The one returned is named by its particular solution (free
@@ -109,15 +111,11 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
         raise ValueError("subspace is not invariant")
 
     d, rows, piv = w.dim, w.basis.entries, w.pivots
+    nonpiv = [j for j in range(n) if j not in piv]
     acts = span_basis(h.components)
-    qacts, nonpiv = _quotient_action(acts, w)
-    pairs = []
-    rhs = []
-    for hm, c in zip(acts, qacts):
-        hw = [hm.apply(row) for row in rows]
-        a = tuple(tuple(hw[k][pb] for k in range(d)) for pb in piv)
-        pairs.append((Matrix(field, d, d, a), c))
-        rhs.extend(field.neg(hm.entries[pb][j]) for pb in piv for j in nonpiv)
+    pairs = zip(_action(acts, w, Subspace.zero(field, n)),
+                _action(acts, Subspace.full(field, n), w))
+    rhs = [field.neg(hm.entries[pb][j]) for hm in acts for pb in piv for j in nonpiv]
     system = sylvester_rows(pairs)
     sol = solve_affine(Matrix(field, len(system), d * len(nonpiv),
                               tuple(system)), rhs)
@@ -131,38 +129,38 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
     return comp
 
 
-def _quotient_action(acts: Sequence[Matrix], sub: Subspace):
-    """Induced matrices on the coordinate model of V/sub, and the non-pivot
-    coordinates of sub's RREF basis that model it, which makes everything
-    canonical."""
-    field = acts[0].field
-    piv = set(sub.pivots)
-    nonpiv = [j for j in range(acts[0].rows) if j not in piv]
-    d = len(nonpiv)
-    qacts = []
+def _action(acts: Sequence[Matrix], w: Subspace, u: Subspace) -> list:
+    """Matrices of each act on the subquotient w/u, for invariant u <= w:
+    on w itself with u = 0, on V/u with w = V.  The basis is w's RREF rows
+    at the pivots that are not u's (with u's rows, a basis of w), and entry
+    (r, c) is row c's image, reduced mod u, read at row r's pivot."""
+    urows = list(zip(u.pivots, u.basis.entries))
+    upiv = {pc for pc, _ in urows}
+    basis = [(pc, row) for pc, row in zip(w.pivots, w.basis.entries)
+             if pc not in upiv]
+    d = len(basis)
+    out = []
     for a in acts:
-        cols = [sub.reduce(a.col(j)) for j in nonpiv]
-        qacts.append(Matrix(field, d, d,
-                            tuple(tuple(c[i] for c in cols) for i in nonpiv)))
-    return qacts, nonpiv
+        cols = [_reduce(w.field.p, a.apply(row), urows) for _, row in basis]
+        out.append(Matrix(w.field, d, d,
+                          tuple(tuple(c[piv] for c in cols) for piv, _ in basis)))
+    return out
 
 
 def _flag(h: MatrixTuple, step) -> tuple:
     """Flag of invariant subspaces, zero through full.  step(qacts) returns
-    vectors of the quotient model of V/V_i (see _quotient_action), spanning
-    the image of V_{i+1}."""
+    vectors of the quotient model of V/V_i (see _action), spanning the image
+    of V_{i+1}."""
     field, n = h.field, h.dim
     acts = span_basis(h.components)
     series = [Subspace.zero(field, n)]
     while series[-1].dim < n:
         cur = series[-1]
-        qacts, nonpiv = _quotient_action(acts, cur)
+        nonpiv = sorted(set(range(n)).difference(cur.pivots))
         vecs = list(cur.basis.entries)
-        for u in step(qacts):
-            v = [field.zero] * n
-            for j, x in zip(nonpiv, u):
-                v[j] = x
-            vecs.append(v)
+        for u in step(_action(acts, Subspace.full(field, n), cur)):
+            lift = dict(zip(nonpiv, u))
+            vecs.append([lift.get(j, field.zero) for j in range(n)])
         series.append(Subspace.from_vectors(field, n, vecs))
     return tuple(series)
 
@@ -185,11 +183,12 @@ def _candidate_vectors(sub: Subspace):
         yield from sub.basis.entries
 
 
-def _minimal_invariant(acts: Sequence[Matrix], field: Field, d: int) -> Subspace:
-    """A minimal invariant subspace of k^d under acts, deterministically."""
+def _minimal_invariant(acts: Sequence[Matrix], tick) -> Subspace:
+    """A minimal invariant subspace of k^d under the d x d acts,
+    deterministically.  tick() is called before every spin."""
     best = None
-    for i in range(d):
-        seed = tuple(field.one if k == i else field.zero for k in range(d))
+    for seed in Matrix.identity(acts[0].field, acts[0].rows).entries:
+        tick()
         s = spin([seed], acts)
         if s.dim == 1:
             return s
@@ -198,6 +197,7 @@ def _minimal_invariant(acts: Sequence[Matrix], field: Field, d: int) -> Subspace
     while best.dim > 1:
         smaller = None
         for v in _candidate_vectors(best):
+            tick()
             s = spin([v], acts)
             if 0 < s.dim < best.dim:
                 smaller = s
@@ -208,32 +208,27 @@ def _minimal_invariant(acts: Sequence[Matrix], field: Field, d: int) -> Subspace
     return best
 
 
-def _series(h: MatrixTuple):
-    """Composition series (zero through full) with irreducible quotients,
-    and the action matrices of each factor in its RREF basis."""
-    field = h.field
-    factors = []
+def _series(h: MatrixTuple, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Composition series, zero through full, with irreducible quotients.
+    Every spin counts against the budget."""
+    spins = itertools.count(1)
 
-    def step(qacts):
-        sub = _minimal_invariant(qacts, field, qacts[0].rows)
-        fdim = sub.dim
-        fmats = []
-        for a in qacts:
-            cols = [sub.coords(a.apply(row)) for row in sub.basis.entries]
-            ent = tuple(tuple(cols[c][r] for c in range(fdim)) for r in range(fdim))
-            fmats.append(Matrix(field, fdim, fdim, ent))
-        factors.append(fmats)
-        return sub.basis.entries
+    def tick():
+        if next(spins) > budget:
+            raise BudgetExceeded(f"composition series: spins exceed budget {budget}")
 
-    return _flag(h, step), factors
+    return _flag(h, lambda qacts: _minimal_invariant(qacts, tick).basis.entries)
 
 
-def composition_series(h: MatrixTuple) -> ModuleDecomposition:
+def composition_series(h: MatrixTuple,
+                       budget: int = DEFAULT_BUDGET) -> ModuleDecomposition:
     """Composition series of the natural module with irreducible quotients,
     and the invariant complement of each proper member."""
-    series, factors = _series(h)
+    series = _series(h, budget)
+    acts = span_basis(h.components)
     return ModuleDecomposition(
-        series, tuple(len(commutant(f)) for f in factors),
+        series, tuple(len(commutant(_action(acts, b, a)))
+                      for a, b in zip(series, series[1:])),
         tuple(has_invariant_complement(h, v) for v in series[1:-1]))
 
 
@@ -243,13 +238,13 @@ def _witness(series: tuple, step: int) -> WitnessParabolic:
     return WitnessParabolic(flag, cocharacter_from_flag(flag), "no-complement", step)
 
 
-def is_completely_reducible(h: MatrixTuple):
+def is_completely_reducible(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     """Module criterion: (verdict, decomposition, witness-or-None).
 
     On a negative verdict the witness flag is the composition series with the
     first non-split member named; that member has no invariant complement.
     """
-    decomp = composition_series(h)
+    decomp = composition_series(h, budget)
     if decomp.semisimple:
         return True, decomp, None
     return False, decomp, _witness(decomp.series, decomp.complements.index(None) + 1)
@@ -261,19 +256,26 @@ def orbit_closed(h: MatrixTuple) -> bool:
     return is_completely_reducible(h)[0]
 
 
-def semisimplify(h: MatrixTuple):
+def semisimplify(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     """Block-diagonal associated-graded tuple and its adapted cocharacter.
 
     The limit exists because every generator stabilizes the flag; the result
     generates a completely reducible subgroup with the same multiset of
     composition-factor dimensions.
     """
-    series = _series(h)[0]
+    series = _series(h, budget)
     lam = cocharacter_from_flag(series[1:])
     lim = limit_tuple(lam, h)
     if lim is None:
         raise AssertionError("flag-adapted limit must exist")
     return lim, lam
+
+
+def is_unipotent(m: Matrix) -> bool:
+    """Whether (m - 1)^n = 0 for the n x n matrix m."""
+    nil = m - Matrix.identity(m.field, m.rows)
+    power = functools.reduce(Matrix.__mul__, [nil] * m.rows)
+    return not any(x for row in power.entries for x in row)
 
 
 def borel_tits_flag(h: MatrixTuple) -> WitnessParabolic:
@@ -285,14 +287,9 @@ def borel_tits_flag(h: MatrixTuple) -> WitnessParabolic:
     first member never has an invariant complement.
     """
     field, n = h.field, h.dim
+    if not all(is_unipotent(c) for c in h.components):
+        raise ValueError("generator not unipotent")
     ident = Matrix.identity(field, n)
-    for c in h.components:
-        nil = c - ident
-        power = nil
-        for _ in range(n - 1):
-            power = power * nil
-        if any(x != 0 for row in power.entries for x in row):
-            raise ValueError("generator not unipotent")
     if all(c == ident for c in h.components):
         raise ValueError("trivial unipotent subgroup")
 
@@ -468,7 +465,7 @@ def tuple_witness_search(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     Returns (witness, instability report over the block weights), or None
     for a completely reducible tuple.
     """
-    series = _series(h)[0]
+    series = _series(h, budget)
     step = next((i for i, v in enumerate(series[1:-1], 1)
                  if has_invariant_complement(h, v) is None), None)
     if step is None:

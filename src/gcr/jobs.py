@@ -262,7 +262,7 @@ def serialize_request(req: JobRequest) -> dict:
 
 def _run_check(req: JobRequest) -> dict:
     h = req.matrices
-    cr, decomp, wit = engine.is_completely_reducible(h)
+    cr, decomp, wit = engine.is_completely_reducible(h, budget=req.budget)
     complements = [None if c is None else fmt_subspace(c)
                    for c in decomp.complements]
     return {
@@ -296,13 +296,19 @@ def _run_optimize(req: JobRequest) -> dict:
 
 
 def _run_semisimplify(req: JobRequest) -> dict:
-    lim, lam = engine.semisimplify(req.matrices)
+    lim, lam = engine.semisimplify(req.matrices, budget=req.budget)
     return {"limits": [fmt_matrix(m) for m in lim],
             "cocharacter": fmt_cocharacter(lam)}
 
 
 def _run_borel_tits(req: JobRequest) -> dict:
-    wit = engine.borel_tits_flag(req.matrices)
+    for i, m in enumerate(req.matrices):
+        _expect(engine.is_unipotent(m), f"$.matrices[{i}]",
+                "generator not unipotent")
+    try:
+        wit = engine.borel_tits_flag(req.matrices)
+    except ValueError as e:
+        raise RequestError("$.matrices", str(e)) from None
     return fmt_witness(wit)
 
 

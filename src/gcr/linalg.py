@@ -203,14 +203,16 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows, tuple(zip(*self.entries)))
 
     def apply(self, v: Sequence) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector, skipping zero entries of v (as
+        _reduce skips zero coefficients)."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
         p = self.field.p
+        nz = [(j, y) for j, y in enumerate(v) if y]
         if p is None:
-            return tuple(sum(x * y for x, y in zip(row, v)) + Fraction(0)
+            return tuple(sum(row[j] * y for j, y in nz) + Fraction(0)
                          for row in self.entries)
-        return tuple(sum(x * y for x, y in zip(row, v)) % p for row in self.entries)
+        return tuple(sum(row[j] * y for j, y in nz) % p for row in self.entries)
 
     def trace(self):
         if not self.is_square:

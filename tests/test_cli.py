@@ -313,6 +313,45 @@ def test_cli_borel_tits_invalid_generator():
     assert code == 1 and "unipotent" in err
 
 
+@pytest.mark.parametrize("matrices, prefix", [
+    ([[["1", "1"], ["0", "1"]], [["3", "0"], ["0", "1"]]],
+     "error: $.matrices[1]: generator not unipotent"),
+    ([[["1", "0"], ["0", "1"]]],
+     "error: $.matrices: trivial unipotent subgroup"),
+    ([[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]],
+     "error: $.matrices: generated group is not unipotent"),
+], ids=["generator", "trivial", "group"])
+def test_cli_borel_tits_refusals_name_a_path(matrices, prefix):
+    doc = {"command": "borel-tits", "field": {"kind": "prime_field", "p": 5},
+           "matrices": matrices}
+    code, out, err = run_cli(["borel-tits"], json.dumps(doc))
+    assert code == 1 and out == ""
+    assert err.startswith(prefix)
+
+
+def test_cli_budget_caps_series_spins():
+    # the companion matrix of x^10 + x^3 + 1, irreducible over F_2: the
+    # exhaustive series search certifies it with 1033 spins
+    rows = [["1" if i == j + 1 else "0" for j in range(10)] for i in range(10)]
+    rows[0][9] = rows[3][9] = "1"
+    doc = {"command": "check", "field": {"kind": "prime_field", "p": 2},
+           "matrices": [rows]}
+    code, out, _ = run_cli(["check"], json.dumps(doc))
+    assert code == 0
+    assert json.loads(out)["factor_commutant_dims"] == [10]
+    code, out, err = run_cli(["check"], json.dumps({**doc, "budget": 10}))
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded: composition series")
+
+
+@pytest.mark.parametrize("command", ["check", "semisimplify", "witness"])
+def test_cli_series_budget_zero_exit_2(command):
+    doc = {"command": command, "field": {"kind": "prime_field", "p": 2},
+           "matrices": [[["1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]]]}
+    code, _, err = run_cli([command, "--budget", "0"], json.dumps(doc))
+    assert code == 2 and "composition series" in err
+
+
 def test_cli_orbit_dim():
     doc = {"command": "orbit-dim", "field": {"kind": "rationals"},
            "matrices": [[["1", "1"], ["0", "1"]]]}
