@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .linalg import Field, Matrix, MatrixTuple, Subspace, _insert
+from .linalg import Field, Matrix, MatrixTuple, Subspace
 
 # Integer character (weight) vectors of the diagonal torus.
 Character = Tuple[int, ...]
@@ -216,13 +216,14 @@ def cocharacter_from_flag(flag: Sequence[Subspace]) -> Cocharacter:
         raise ValueError("flag does not end at the full space")
 
     adapted = []
-    echelon: list = []
+    span = Subspace.zero(field, n)
     sizes = []
     for sub in flag:
         start = len(adapted)
         for row in sub.basis.entries:
-            if _insert(field.p, row, echelon) is not None:
+            if not span.contains(row):
                 adapted.append(row)
+                span = span.extend([row])
         sizes.append(len(adapted) - start)
     if len(adapted) != n:
         raise AssertionError("flag basis is not adapted")

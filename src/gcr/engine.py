@@ -23,8 +23,8 @@ from .cochar import (Cocharacter, cocharacter_from_flag, limit_tuple,
                      parabolic_of)
 from .instability import WeightSet, optimal_cocharacter, support_of_tuple
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Matrix, MatrixTuple,
-                     Subspace, commutant, kernel_basis, solve_affine,
-                     span_basis, spin, sylvester_rows, _reduce)
+                     Subspace, commutant, kernel_basis, solve_affine, spin,
+                     sylvester_rows)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def has_invariant_complement(h: MatrixTuple, w: Subspace) -> Optional[Subspace]:
 
     d, rows, piv = w.dim, w.basis.entries, w.pivots
     nonpiv = [j for j in range(n) if j not in piv]
-    acts = span_basis(h.components)
+    acts = h.span
     pairs = zip(_action(acts, w, Subspace.zero(field, n)),
                 _action(acts, Subspace.full(field, n), w))
     rhs = [field.neg(hm.entries[pb][j]) for hm in acts for pb in piv for j in nonpiv]
@@ -134,14 +134,13 @@ def _action(acts: Sequence[Matrix], w: Subspace, u: Subspace) -> list:
     on w itself with u = 0, on V/u with w = V.  The basis is w's RREF rows
     at the pivots that are not u's (with u's rows, a basis of w), and entry
     (r, c) is row c's image, reduced mod u, read at row r's pivot."""
-    urows = list(zip(u.pivots, u.basis.entries))
-    upiv = {pc for pc, _ in urows}
+    upiv = set(u.pivots)
     basis = [(pc, row) for pc, row in zip(w.pivots, w.basis.entries)
              if pc not in upiv]
     d = len(basis)
     out = []
     for a in acts:
-        cols = [_reduce(w.field.p, a.apply(row), urows) for _, row in basis]
+        cols = [u.reduce(a.apply(row)) for _, row in basis]
         out.append(Matrix(w.field, d, d,
                           tuple(tuple(c[piv] for c in cols) for piv, _ in basis)))
     return out
@@ -152,16 +151,15 @@ def _flag(h: MatrixTuple, step) -> tuple:
     vectors of the quotient model of V/V_i (see _action), spanning the image
     of V_{i+1}."""
     field, n = h.field, h.dim
-    acts = span_basis(h.components)
     series = [Subspace.zero(field, n)]
     while series[-1].dim < n:
         cur = series[-1]
         nonpiv = sorted(set(range(n)).difference(cur.pivots))
-        vecs = list(cur.basis.entries)
-        for u in step(_action(acts, Subspace.full(field, n), cur)):
+        lifts = []
+        for u in step(_action(h.span, Subspace.full(field, n), cur)):
             lift = dict(zip(nonpiv, u))
-            vecs.append([lift.get(j, field.zero) for j in range(n)])
-        series.append(Subspace.from_vectors(field, n, vecs))
+            lifts.append([lift.get(j, field.zero) for j in range(n)])
+        series.append(cur.extend(lifts))
     return tuple(series)
 
 
@@ -225,9 +223,8 @@ def composition_series(h: MatrixTuple,
     """Composition series of the natural module with irreducible quotients,
     and the invariant complement of each proper member."""
     series = _series(h, budget)
-    acts = span_basis(h.components)
     return ModuleDecomposition(
-        series, tuple(len(commutant(_action(acts, b, a)))
+        series, tuple(len(commutant(_action(h.span, b, a)))
                       for a, b in zip(series, series[1:])),
         tuple(has_invariant_complement(h, v) for v in series[1:-1]))
 

@@ -231,7 +231,8 @@ class InstabilityReport:
     When semistable, the hull contains the origin, mu <= 0 for every
     cocharacter, and lam_opt is absent.  Otherwise lam_opt is the primitive
     integer vector on the ray through the minimum-norm point p, and
-    mu_opt^2 == value_sq * lam_norm_sq exactly.
+    mu_opt^2 == value_sq * lam_norm_sq exactly.  hull_coeffs and margins
+    follow w.weights: the distinct weights sorted, not the input order.
     """
 
     semistable: bool

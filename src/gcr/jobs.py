@@ -1,7 +1,8 @@
 """Job requests and reports: one self-describing JSON document per job.
 
-Wire conventions: matrix entries are decimal strings ("a/b" for rationals,
-non-negative decimals for prime fields); cocharacters and weights are
+Wire conventions: matrix entries are ASCII decimal strings without
+whitespace or "_" ("a/b" for rationals, non-negative decimals for prime
+fields); cocharacters and weights are
 integer arrays; every rational-valued report field is an exact "a/b"
 string.  Reports are deterministic except for the elapsed_ms field.
 """
@@ -71,13 +72,15 @@ def _parse_field(obj, path) -> Field:
 def _parse_scalar(obj, field: Field, path):
     ok = isinstance(obj, str) or (isinstance(obj, int) and not isinstance(obj, bool))
     _expect(ok, path, "expected a decimal string")
-    if isinstance(obj, str):
-        if field.p is not None:
-            _expect(obj.lstrip().isdigit(), path,
-                    "prime-field entries are non-negative decimal strings")
-        else:
-            _expect("e" not in obj and "E" not in obj, path,
-                    "rational entries are 'a/b' strings; no exponent notation")
+    if field.p is not None:
+        _expect(obj >= 0 if isinstance(obj, int) else obj.isascii() and obj.isdigit(),
+                path, "prime-field entries are non-negative decimal strings")
+    elif isinstance(obj, str):
+        _expect("e" not in obj and "E" not in obj, path,
+                "rational entries are 'a/b' strings; no exponent notation")
+        _expect(obj.isascii() and not any(c.isspace() or c == "_" for c in obj),
+                path, "rational entries are ASCII 'a/b' strings, "
+                "without whitespace or '_'")
     try:
         return field(obj)
     except (ValueError, TypeError, ZeroDivisionError) as e:
@@ -230,6 +233,8 @@ def fmt_witness(w: engine.WitnessParabolic):
 
 
 def fmt_instability(rep: InstabilityReport):
+    """hull_coeffs and margins follow the sorted distinct weights (see
+    InstabilityReport), in `optimize` and `witness` reports alike."""
     return {"semistable": rep.semistable,
             "min_point": [str(x) for x in rep.min_point],
             "value_sq": str(rep.value_sq),

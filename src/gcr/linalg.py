@@ -9,6 +9,7 @@ operation is a pure function.
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,10 +47,6 @@ class Field:
                 raise ValueError(f"modulus not prime: {self.p!r}")
             if self.p >= 2**31:
                 raise ValueError(f"modulus too large: {self.p}")
-
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.p is None else "prime_field"
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
@@ -142,13 +139,6 @@ class Matrix:
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
         z = field.zero
         return Matrix(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i) -> tuple:
-        return self.entries[i]
 
     def col(self, j) -> tuple:
         return tuple(r[j] for r in self.entries)
@@ -355,7 +345,8 @@ def solve_affine(a: Matrix, b: Sequence):
 class Subspace:
     """Subspace of k^n, canonicalized by the RREF of its basis rows.
 
-    Equality of subspaces is therefore equality of basis rows.
+    Equality of subspaces is therefore equality of basis rows.  Subspaces
+    grow by `extend` (or `spin`), which keeps this form.
     """
 
     ambient: int
@@ -363,14 +354,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vectors = [tuple(field(x) for x in v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("dimension mismatch")
-        if not vectors:
-            return Subspace.zero(field, ambient)
-        red, piv, rank = rref(Matrix(field, len(vectors), ambient, tuple(vectors)))
-        return Subspace(ambient, Matrix(field, rank, ambient, red.entries[:rank]))
+        return Subspace.zero(field, ambient).extend(vectors)
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
@@ -380,6 +364,13 @@ class Subspace:
     def full(field: Field, ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix.identity(field, ambient))
 
+    @staticmethod
+    def _from_echelon(field: Field, ambient: int, rows: list) -> "Subspace":
+        """The span of echelon (pivot, row) pairs in pivot order."""
+        rows = _clear_above(field.p, rows)
+        return Subspace(ambient, Matrix(field, len(rows), ambient,
+                                        tuple(row for _, row in rows)))
+
     @property
     def field(self) -> Field:
         return self.basis.field
@@ -388,12 +379,14 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
+    @functools.cached_property
     def pivots(self) -> tuple:
-        out = []
-        for row in self.basis.entries:
-            out.append(next(j for j, x in enumerate(row) if x != 0))
-        return tuple(out)
+        return tuple(next(j for j, x in enumerate(row) if x)
+                     for row in self.basis.entries)
+
+    @functools.cached_property
+    def _pairs(self) -> tuple:
+        return tuple(zip(self.pivots, self.basis.entries))
 
     @property
     def is_zero(self) -> bool:
@@ -409,31 +402,29 @@ class Subspace:
         v = [f(x) for x in v]
         if len(v) != self.ambient:
             raise ValueError("dimension mismatch")
-        return tuple(_reduce(f.p, v, zip(self.pivots, self.basis.entries)))
+        return tuple(_reduce(f.p, v, self._pairs))
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
-
     def __le__(self, other: "Subspace") -> bool:
-        return other.contains_space(self)
+        return all(other.contains(r) for r in self.basis.entries)
 
-    def coords(self, v: Sequence):
-        """Coefficients of v in the RREF basis, or None if v is outside."""
-        if not self.contains(v):
-            return None
+    def extend(self, vectors: Iterable[Sequence]) -> "Subspace":
+        """The span of this subspace and the vectors."""
         f = self.field
-        v = [f(x) for x in v]
-        return tuple(v[pc] for pc in self.pivots)
+        rows = list(self._pairs)
+        for v in vectors:
+            v = [f(x) for x in v]
+            if len(v) != self.ambient:
+                raise ValueError("dimension mismatch")
+            _insert(f.p, v, rows)
+        return Subspace._from_echelon(f, self.ambient, rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient or self.field != other.field:
             raise ValueError("ambient mismatch")
-        return Subspace.from_vectors(
-            self.field, self.ambient,
-            list(self.basis.entries) + list(other.basis.entries))
+        return self.extend(other.basis.entries)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient or self.field != other.field:
@@ -480,6 +471,11 @@ class MatrixTuple:
 
     def __getitem__(self, i) -> Matrix:
         return self.components[i]
+
+    @functools.cached_property
+    def span(self) -> tuple:
+        """The generators that span their linear span (see span_basis)."""
+        return tuple(span_basis(self.components))
 
     def conjugated(self, g: Matrix) -> "MatrixTuple":
         gi = g.inverse()
@@ -534,8 +530,7 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
         row = _insert(field.p, queue.popleft(), rows)
         if row is not None:
             queue.extend(a.apply(row) for a in mats)
-    rows = _clear_above(field.p, rows)
-    return Subspace(n, Matrix(field, len(rows), n, tuple(row for _, row in rows)))
+    return Subspace._from_echelon(field, n, rows)
 
 
 def sylvester_rows(pairs) -> list:

@@ -1,8 +1,10 @@
 import io
+import itertools
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -93,6 +95,30 @@ def test_run_optimize_job():
     assert report["lambda_opt"] == [1, 1]
     assert report["value_sq"] == "2"
     assert report["mu"] == "2"
+
+
+def test_optimize_coefficients_follow_sorted_distinct_weights():
+    weights = [[2, -1], [0, 3], [-1, 0], [1, 1]]
+
+    def report(ws):
+        out = run(parse_request(json.dumps({"command": "optimize", "weights": ws})))
+        out.pop("elapsed_ms")
+        return out
+
+    base = report(weights)
+    for ws in itertools.permutations(weights):
+        assert report(list(ws)) == base
+    assert report(weights + weights[::2]) == base
+    # hull_coeffs and margins are indexed by the sorted distinct weights
+    ordered = sorted(map(tuple, weights))
+    coeffs = [Fraction(c) for c in base["hull_coeffs"]]
+    point = [Fraction(x) for x in base["min_point"]]
+    assert [sum(c * w[d] for c, w in zip(coeffs, ordered))
+            for d in range(2)] == point
+    value_sq = Fraction(base["value_sq"])
+    assert [Fraction(m) for m in base["margins"]] == [
+        sum(p * x for p, x in zip(point, w)) - value_sq for w in ordered]
+    assert report([[3], [1]])["hull_coeffs"] == ["1", "0"]
 
 
 def test_run_check_adjoint_corpus():
@@ -222,6 +248,34 @@ def test_cli_rational_exponent_notation_refused_fast():
     assert time.monotonic() - start < 1
     assert code == 1 and out == ""
     assert "$.matrices[0][0][0]" in err and "exponent" in err
+
+
+@pytest.mark.parametrize("p, entry", [
+    (None, "1_0"),
+    (None, "٣"),
+    (7, "٣"),
+    (None, " 1"),
+    (7, " 1"),
+    (None, "\t2\n"),
+    (7, "\t2\n"),
+    (7, "1 "),
+    (7, -1),
+])
+def test_cli_scalar_spellings_refused(p, entry):
+    field = {"kind": "rationals"} if p is None else {"kind": "prime_field", "p": p}
+    doc = {"command": "check", "field": field, "matrices": [[[entry]]]}
+    code, out, err = run_cli(["check"], json.dumps(doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error: $.matrices[0][0][0]: ")
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("1.5", "3/2"), ("+1", "1"), ("-1/2", "-1/2"), (-3, "-3")])
+def test_parse_rational_spellings_accepted(entry, value):
+    doc = {"command": "check", "field": {"kind": "rationals"},
+           "matrices": [[[entry]]]}
+    req = parse_request(json.dumps(doc))
+    assert str(req.matrices[0].entries[0][0]) == value
 
 
 def test_cli_command_mismatch():
