@@ -54,6 +54,10 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         except OSError as e:
             print(f"error: {e}", file=stderr)
             return 1
+        except UnicodeDecodeError as e:
+            print(f"error: {args.input}: not UTF-8 ({e.reason} at position "
+                  f"{e.start})", file=stderr)
+            return 1
     else:
         doc = stdin.read()
 

@@ -21,13 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .linalg import Field, Matrix, MatrixTuple, Subspace
-
-# Integer character (weight) vectors of the diagonal torus.
-Character = Tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class Cocharacter:
@@ -53,9 +49,6 @@ class Cocharacter:
     @property
     def is_diagonal(self) -> bool:
         return self.conjugator is None
-
-    def scaled(self, c: int) -> "Cocharacter":
-        return Cocharacter(tuple(c * e for e in self.exponents), self.conjugator)
 
 
 def pairing(lam: Cocharacter, chi: Sequence[int]) -> int:

@@ -247,12 +247,6 @@ def is_completely_reducible(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     return False, decomp, _witness(decomp.series, decomp.complements.index(None) + 1)
 
 
-def orbit_closed(h: MatrixTuple) -> bool:
-    """The simultaneous-conjugacy orbit is closed iff the tuple is
-    completely reducible."""
-    return is_completely_reducible(h)[0]
-
-
 def semisimplify(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     """Block-diagonal associated-graded tuple and its adapted cocharacter.
 
@@ -401,7 +395,7 @@ def _closure(start, moves, budget: int, what: str) -> list:
 def enumerate_group(gens, budget: int = DEFAULT_BUDGET) -> list:
     """All elements of the group generated over a finite field, by breadth
     first closure under multiplication."""
-    mats = list(gens.components) if isinstance(gens, MatrixTuple) else list(gens)
+    mats = list(gens)
     if not mats:
         raise ValueError("no generators")
     if mats[0].field.p is None:

@@ -215,10 +215,6 @@ def fmt_field(field: Field):
     return {"kind": "prime_field", "p": field.p}
 
 
-def fmt_subspace(s: Subspace):
-    return [[str(x) for x in row] for row in s.basis.entries]
-
-
 def fmt_cocharacter(lam: Cocharacter):
     return {"exponents": list(lam.exponents),
             "conjugator": None if lam.conjugator is None
@@ -226,7 +222,7 @@ def fmt_cocharacter(lam: Cocharacter):
 
 
 def fmt_witness(w: engine.WitnessParabolic):
-    return {"flag": [fmt_subspace(s) for s in w.flag],
+    return {"flag": [fmt_matrix(s.basis) for s in w.flag],
             "cocharacter": fmt_cocharacter(w.cochar),
             "reason": w.reason,
             "step": w.step}
@@ -246,33 +242,16 @@ def fmt_instability(rep: InstabilityReport):
             else str(rep.lam_norm_sq)}
 
 
-def serialize_request(req: JobRequest) -> dict:
-    doc: dict = {"command": req.command, "budget": req.budget}
-    if req.field is not None:
-        doc["field"] = fmt_field(req.field)
-    if req.exponents is not None:
-        doc["lambda"] = list(req.exponents)
-    if req.conjugator is not None:
-        doc["conjugator"] = fmt_matrix(req.conjugator)
-    if req.matrix is not None:
-        doc["matrix"] = fmt_matrix(req.matrix)
-    if req.matrices is not None:
-        doc["matrices"] = [fmt_matrix(m) for m in req.matrices]
-    if req.weights is not None:
-        doc["weights"] = [list(w) for w in req.weights.weights]
-    return doc
-
-
 # -- dispatch ---------------------------------------------------------------
 
 def _run_check(req: JobRequest) -> dict:
     h = req.matrices
     cr, decomp, wit = engine.is_completely_reducible(h, budget=req.budget)
-    complements = [None if c is None else fmt_subspace(c)
+    complements = [None if c is None else fmt_matrix(c.basis)
                    for c in decomp.complements]
     return {
         "verdict": "completely reducible" if cr else "not completely reducible",
-        "series": [fmt_subspace(s) for s in decomp.series],
+        "series": [fmt_matrix(s.basis) for s in decomp.series],
         "series_dims": [s.dim for s in decomp.series],
         "step_split": list(decomp.step_split),
         "factor_dims": list(decomp.factor_dims),

@@ -43,22 +43,28 @@ class Field:
 
     def __post_init__(self):
         if self.p is not None:
+            # the bound comes first: trial division of a 61-bit modulus
+            # runs for hours
+            if isinstance(self.p, int) and self.p >= 2**31:
+                raise ValueError(f"modulus too large: {self.p}")
             if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise ValueError(f"modulus not prime: {self.p!r}")
-            if self.p >= 2**31:
-                raise ValueError(f"modulus too large: {self.p}")
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
 
     def __call__(self, x):
         """Canonicalize a scalar: Fraction in lowest terms, or residue in [0, p)."""
+        # The exact type tests come first: engine scalars are already
+        # canonical, and they skip isinstance's slower abstract-class check.
         if self.p is None:
-            if isinstance(x, Fraction):
+            if type(x) is Fraction or isinstance(x, Fraction):
                 return x
             if isinstance(x, (int, str)):
                 return Fraction(x)
             raise TypeError(f"not a rational scalar: {x!r}")
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"not an integer residue: {x}")
@@ -140,9 +146,6 @@ class Matrix:
         z = field.zero
         return Matrix(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
 
-    def col(self, j) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -181,12 +184,6 @@ class Matrix:
     def __neg__(self):
         f = self.field
         ent = tuple(tuple(f.neg(a) for a in ra) for ra in self.entries)
-        return Matrix(self.field, self.rows, self.cols, ent)
-
-    def scaled(self, c) -> "Matrix":
-        f = self.field
-        c = f(c)
-        ent = tuple(tuple(f.mul(c, a) for a in ra) for ra in self.entries)
         return Matrix(self.field, self.rows, self.cols, ent)
 
     def transpose(self) -> "Matrix":
@@ -426,15 +423,6 @@ class Subspace:
             raise ValueError("ambient mismatch")
         return self.extend(other.basis.entries)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient or self.field != other.field:
-            raise ValueError("ambient mismatch")
-        ann = list(kernel_basis(self.basis)) + list(kernel_basis(other.basis))
-        if not ann:
-            return Subspace.full(self.field, self.ambient)
-        m = Matrix(self.field, len(ann), self.ambient, tuple(ann))
-        return Subspace.from_vectors(self.field, self.ambient, kernel_basis(m))
-
 
 @dataclass(frozen=True)
 class MatrixTuple:
@@ -477,17 +465,6 @@ class MatrixTuple:
         """The generators that span their linear span (see span_basis)."""
         return tuple(span_basis(self.components))
 
-    def conjugated(self, g: Matrix) -> "MatrixTuple":
-        gi = g.inverse()
-        return MatrixTuple(self.field, self.dim,
-                           tuple(g * c * gi for c in self.components))
-
-
-def _components(gens) -> list:
-    if isinstance(gens, MatrixTuple):
-        return list(gens.components)
-    return list(gens)
-
 
 def span_basis(mats: Sequence[Matrix]) -> list:
     """First members of mats, in order, that enlarge the linear span.
@@ -495,7 +472,7 @@ def span_basis(mats: Sequence[Matrix]) -> list:
     Stability and commuting conditions are linear in the acting matrix, so
     downstream solvers may restrict to such a spanning subset.
     """
-    mats = _components(mats)
+    mats = list(mats)
     if not mats:
         return []
     p = mats[0].field.p
@@ -510,7 +487,7 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
     Seeds and generators are processed in input order, breadth first, so the
     output is deterministic; the result is canonical RREF anyway.
     """
-    mats = _components(gens)
+    mats = list(gens)
     if not mats:
         raise ValueError("no generators")
     field = mats[0].field
@@ -558,7 +535,7 @@ def sylvester_rows(pairs) -> list:
 
 def commutant(gens) -> tuple:
     """Canonical basis of the algebra {a : a h_i = h_i a for all i}."""
-    mats = _components(gens)
+    mats = list(gens)
     if not mats:
         raise ValueError("no generators")
     field = mats[0].field

@@ -257,6 +257,16 @@ def enumerate_min_norm_point(w):
 
 # -- invariant-complement oracle ---------------------------------------------
 
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """The intersection of a and b, as the common kernel of both
+    annihilators (the transversality oracle of the complement tests)."""
+    ann = list(kernel_basis(a.basis)) + list(kernel_basis(b.basis))
+    if not ann:
+        return Subspace.full(a.field, a.ambient)
+    m = Matrix(a.field, len(ann), a.ambient, tuple(ann))
+    return Subspace.from_vectors(a.field, a.ambient, kernel_basis(m))
+
+
 def all_subspaces(field, n):
     """Every subspace of F_p^n, sorted by dimension and then basis rows."""
     vectors = [v for v in itertools.product(range(field.p), repeat=n) if any(v)]

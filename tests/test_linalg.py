@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ from gcr.linalg import (GF, QQ, Field, Matrix, MatrixTuple, Subspace,
                         commutant, kernel_basis, rref, solve_affine,
                         span_basis, spin, sylvester_rows)
 
-from helpers import gauss_jordan, random_invertible
+from helpers import gauss_jordan, intersect, random_invertible
 
 
 def mat(field, rows):
@@ -32,6 +33,13 @@ def test_scalar_canonicalization():
     assert q("2/4") == q("1/2")
     with pytest.raises(ValueError):
         f(q("1/2"))
+    assert f(True) == 1 and f(12) == 2 and f(Fraction(10, 2)) == 0
+    assert type(q(3)) is Fraction
+    half = Fraction(1, 2)
+    assert q(half) is half
+    for field in (f, q):
+        with pytest.raises(TypeError):
+            field(1.5)
 
 
 def test_rref_identity():
@@ -209,8 +217,8 @@ def test_subspace_sum_intersect():
     a = Subspace.from_vectors(GF(2), 3, [(1, 0, 0)])
     b = Subspace.from_vectors(GF(2), 3, [(0, 1, 0)])
     assert a.add(b).dim == 2
-    assert a.intersect(b).is_zero
-    assert a.intersect(a) == a
+    assert intersect(a, b).is_zero
+    assert intersect(a, a) == a
 
 
 def test_matrix_inverse_round_trip():
