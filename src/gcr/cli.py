@@ -8,7 +8,6 @@ exceeded, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -70,7 +69,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         if args.budget is not None:
             if args.budget < 0:
                 raise RequestError("$.budget", "budget must be non-negative")
-            req = dataclasses.replace(req, budget=args.budget)
+            req = req._replace(budget=args.budget)
     except RequestError as e:
         print(f"error: {e}", file=stderr)
         return 1

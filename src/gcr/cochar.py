@@ -20,27 +20,27 @@ membership.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Field, Matrix, MatrixTuple, Subspace
+from .linalg import Field, Frozen, Matrix, MatrixTuple, Subspace
 
-@dataclass(frozen=True)
-class Cocharacter:
-    exponents: tuple
-    conjugator: Optional[Matrix] = None
+_set = object.__setattr__
 
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        object.__setattr__(self, "exponents", exps)
+
+class Cocharacter(Frozen):
+    _fields = ("exponents", "conjugator")
+
+    def __init__(self, exponents: tuple, conjugator: Optional[Matrix] = None):
+        exps = tuple(int(e) for e in exponents)
         if not exps:
             raise ValueError("empty exponent vector")
-        g = self.conjugator
-        if g is not None:
-            if not g.is_square or g.rows != len(exps):
+        if conjugator is not None:
+            if not conjugator.is_square or conjugator.rows != len(exps):
                 raise ValueError("conjugator dimension mismatch")
-            if not g.is_invertible():
+            if not conjugator.is_invertible():
                 raise ValueError("conjugator not invertible")
+        _set(self, "exponents", exps)
+        _set(self, "conjugator", conjugator)
 
     @property
     def n(self) -> int:
@@ -61,8 +61,7 @@ def pairing(lam: Cocharacter, chi: Sequence[int]) -> int:
     return sum(a * c for a, c in zip(lam.exponents, chi))
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(Frozen):
     """Block data of P, L and R_u(P) for a diagonal cocharacter.
 
     order is the sorting permutation: coordinate indices by weakly decreasing
@@ -70,10 +69,14 @@ class ParabolicData:
     exponents; block_exponents are the strictly decreasing sorted values.
     """
 
-    exponents: tuple
-    order: tuple
-    block_sizes: tuple
-    block_exponents: tuple
+    _fields = ("exponents", "order", "block_sizes", "block_exponents")
+
+    def __init__(self, exponents: tuple, order: tuple, block_sizes: tuple,
+                 block_exponents: tuple):
+        _set(self, "exponents", exponents)
+        _set(self, "order", order)
+        _set(self, "block_sizes", block_sizes)
+        _set(self, "block_exponents", block_exponents)
 
     @property
     def is_proper(self) -> bool:

@@ -16,19 +16,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cochar import (Cocharacter, cocharacter_from_flag, limit_tuple,
                      parabolic_of)
 from .instability import WeightSet, optimal_cocharacter, support_of_tuple
-from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Matrix, MatrixTuple,
-                     Subspace, commutant, kernel_basis, solve_affine, spin,
-                     sylvester_rows)
+from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Frozen, Matrix,
+                     MatrixTuple, Subspace, commutant, kernel_basis,
+                     solve_affine, spin, sylvester_rows)
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ModuleDecomposition:
+class ModuleDecomposition(Frozen):
     """Composition series 0 = V_0 < ... < V_s = V with split diagnostics.
 
     complements[i] is the canonical invariant complement of the proper
@@ -38,9 +38,15 @@ class ModuleDecomposition:
     (1 means absolutely irreducible).
     """
 
-    series: tuple                 # Subspaces, zero through full
-    factor_commutant_dims: tuple
-    complements: tuple            # Subspace or None, one per proper member
+    _fields = ("series", "factor_commutant_dims", "complements")
+
+    def __init__(self,
+                 series: tuple,         # Subspaces, zero through full
+                 factor_commutant_dims: tuple,
+                 complements: tuple):   # Subspace or None, one per proper member
+        _set(self, "series", series)
+        _set(self, "factor_commutant_dims", factor_commutant_dims)
+        _set(self, "complements", complements)
 
     @property
     def factor_dims(self) -> tuple:
@@ -55,8 +61,7 @@ class ModuleDecomposition:
         return all(self.step_split)
 
 
-@dataclass(frozen=True)
-class WitnessParabolic:
+class WitnessParabolic(Frozen):
     """A flag plus adapted cocharacter certifying failure of reducibility.
 
     Every generator stabilizes every flag member, and the flag member at
@@ -64,10 +69,17 @@ class WitnessParabolic:
     has_invariant_complement).
     """
 
-    flag: tuple                   # proper nonzero members, then the full space
-    cochar: Cocharacter
-    reason: str                   # "no-complement" or "borel-tits"
-    step: int
+    _fields = ("flag", "cochar", "reason", "step")
+
+    def __init__(self,
+                 flag: tuple,   # proper nonzero members, then the full space
+                 cochar: Cocharacter,
+                 reason: str,   # "no-complement" or "borel-tits"
+                 step: int):
+        _set(self, "flag", flag)
+        _set(self, "cochar", cochar)
+        _set(self, "reason", reason)
+        _set(self, "step", step)
 
 
 def _stable_under(comps: Sequence[Matrix], sub: Subspace) -> bool:

@@ -15,30 +15,30 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cochar import Cocharacter
-from .linalg import (QQ, BudgetExceeded, DEFAULT_BUDGET, Matrix, MatrixTuple,
-                     solve_affine)
+from .linalg import (QQ, BudgetExceeded, DEFAULT_BUDGET, Frozen, Matrix,
+                     MatrixTuple, solve_affine)
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(Frozen):
     """Finite set of distinct integer weight vectors, sorted for canonicity."""
 
-    rank: int
-    weights: tuple
+    _fields = ("rank", "weights")
 
-    def __post_init__(self):
-        ws = sorted({tuple(int(x) for x in w) for w in self.weights})
+    def __init__(self, rank: int, weights: tuple):
+        ws = sorted({tuple(int(x) for x in w) for w in weights})
         if not ws:
             raise ValueError("empty weight set")
         for w in ws:
-            if len(w) != self.rank:
+            if len(w) != rank:
                 raise ValueError("weight length mismatch")
-        object.__setattr__(self, "weights", tuple(ws))
+        _set(self, "rank", rank)
+        _set(self, "weights", tuple(ws))
 
     @staticmethod
     def of(weights) -> "WeightSet":
@@ -224,8 +224,7 @@ def min_norm_point(w: WeightSet, budget: int = DEFAULT_BUDGET):
     raise AssertionError("no candidate minimum-norm point")
 
 
-@dataclass(frozen=True)
-class InstabilityReport:
+class InstabilityReport(Frozen):
     """Verdict of the exact optimizer over one torus.
 
     When semistable, the hull contains the origin, mu <= 0 for every
@@ -235,14 +234,25 @@ class InstabilityReport:
     follow w.weights: the distinct weights sorted, not the input order.
     """
 
-    semistable: bool
-    min_point: tuple            # rational vector p
-    value_sq: Fraction          # <p, p>
-    hull_coeffs: tuple          # rational, one per weight, summing to 1
-    margins: tuple              # <p, chi_i> - <p, p>, all >= 0
-    lam_opt: Optional[tuple]    # primitive integer vector, or None
-    mu_opt: Optional[int]
-    lam_norm_sq: Optional[int]
+    _fields = ("semistable", "min_point", "value_sq", "hull_coeffs", "margins",
+               "lam_opt", "mu_opt", "lam_norm_sq")
+
+    def __init__(self, semistable: bool,
+                 min_point: tuple,           # rational vector p
+                 value_sq: Fraction,         # <p, p>
+                 hull_coeffs: tuple,         # rational, one per weight, summing to 1
+                 margins: tuple,             # <p, chi_i> - <p, p>, all >= 0
+                 lam_opt: Optional[tuple],   # primitive integer vector, or None
+                 mu_opt: Optional[int],
+                 lam_norm_sq: Optional[int]):
+        _set(self, "semistable", semistable)
+        _set(self, "min_point", min_point)
+        _set(self, "value_sq", value_sq)
+        _set(self, "hull_coeffs", hull_coeffs)
+        _set(self, "margins", margins)
+        _set(self, "lam_opt", lam_opt)
+        _set(self, "mu_opt", mu_opt)
+        _set(self, "lam_norm_sq", lam_norm_sq)
 
 
 def optimal_cocharacter(w: WeightSet, budget: int = DEFAULT_BUDGET) -> InstabilityReport:
@@ -267,13 +277,15 @@ def optimal_cocharacter(w: WeightSet, budget: int = DEFAULT_BUDGET) -> Instabili
     return InstabilityReport(False, point, value_sq, coeffs, margins, lam, m, q)
 
 
-@dataclass(frozen=True)
-class BoxOptimum:
+class BoxOptimum(Frozen):
     """Best cocharacter in an integer box, with its comparison witness."""
 
-    lam: tuple
-    mu: int
-    norm_sq: int
+    _fields = ("lam", "mu", "norm_sq")
+
+    def __init__(self, lam: tuple, mu: int, norm_sq: int):
+        _set(self, "lam", lam)
+        _set(self, "mu", mu)
+        _set(self, "norm_sq", norm_sq)
 
 
 def brute_force_optimum(w: WeightSet, box: int,

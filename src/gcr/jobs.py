@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import engine
 from .cochar import Cocharacter, limit_conj, limit_tuple
 from .instability import InstabilityReport, WeightSet, optimal_cocharacter
-from .linalg import DEFAULT_BUDGET, Field, Matrix, MatrixTuple, Subspace
+from .linalg import DEFAULT_BUDGET, Field, Frozen, Matrix, MatrixTuple, Subspace
 
 COMMANDS = ("check", "limit", "optimize", "semisimplify", "borel-tits",
             "witness", "orbit-dim", "selftest")
@@ -34,16 +33,28 @@ class RequestError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class JobRequest:
-    command: str
-    field: Optional[Field] = None
-    matrices: Optional[MatrixTuple] = None
-    matrix: Optional[Matrix] = None
-    exponents: Optional[tuple] = None
-    conjugator: Optional[Matrix] = None
-    weights: Optional[WeightSet] = None
-    budget: int = DEFAULT_BUDGET
+_set = object.__setattr__
+
+
+class JobRequest(Frozen):
+    _fields = ("command", "field", "matrices", "matrix", "exponents",
+               "conjugator", "weights", "budget")
+
+    def __init__(self, command: str, field: Optional[Field] = None,
+                 matrices: Optional[MatrixTuple] = None,
+                 matrix: Optional[Matrix] = None,
+                 exponents: Optional[tuple] = None,
+                 conjugator: Optional[Matrix] = None,
+                 weights: Optional[WeightSet] = None,
+                 budget: int = DEFAULT_BUDGET):
+        _set(self, "command", command)
+        _set(self, "field", field)
+        _set(self, "matrices", matrices)
+        _set(self, "matrix", matrix)
+        _set(self, "exponents", exponents)
+        _set(self, "conjugator", conjugator)
+        _set(self, "weights", weights)
+        _set(self, "budget", budget)
 
 
 def _expect(cond, path, message):

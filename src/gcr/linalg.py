@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -20,6 +20,51 @@ DEFAULT_BUDGET = 1_000_000
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
+
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """Immutable value whose fields are named, in order, by `_fields`.
+
+    Instances compare equal, and hash equal, when they have the same class
+    and equal field values; assigning or deleting an attribute raises
+    AttributeError.  Each subclass sets its fields once in `__init__`, with
+    object.__setattr__, taking them as parameters in `_fields` order.
+    """
+
+    __slots__ = ()
+    _fields: tuple
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields}
+                          | changes)
 
 
 def _is_prime(p: int) -> bool:
@@ -35,20 +80,31 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Field:
+class Field(Frozen):
     """The rationals (p is None) or the prime field F_p with p < 2**31."""
 
-    p: Optional[int] = None
+    __slots__ = ("p",)
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None:
+    def __init__(self, p: Optional[int] = None):
+        if p is not None:
             # the bound comes first: trial division of a 61-bit modulus
             # runs for hours
-            if isinstance(self.p, int) and self.p >= 2**31:
-                raise ValueError(f"modulus too large: {self.p}")
-            if not isinstance(self.p, int) or not _is_prime(self.p):
-                raise ValueError(f"modulus not prime: {self.p!r}")
+            if isinstance(p, int) and p >= 2**31:
+                raise ValueError(f"modulus too large: {p}")
+            if not isinstance(p, int) or not _is_prime(p):
+                raise ValueError(f"modulus not prime: {p!r}")
+        _set(self, "p", p)
+
+    # Fields are compared in hot loops (`a.field != b.field`), so p is
+    # compared directly; the hash is that of the 1-tuple, as in Frozen.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
@@ -114,14 +170,16 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Immutable matrix with canonical row-major entries over a Field."""
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        _set(self, "field", field)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @staticmethod
     def make(field: Field, rows_data) -> "Matrix":
@@ -338,16 +396,18 @@ def solve_affine(a: Matrix, b: Sequence):
     return tuple(x), kern
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Subspace of k^n, canonicalized by the RREF of its basis rows.
 
     Equality of subspaces is therefore equality of basis rows.  Subspaces
     grow by `extend` (or `spin`), which keeps this form.
     """
 
-    ambient: int
-    basis: Matrix
+    _fields = ("ambient", "basis")
+
+    def __init__(self, ambient: int, basis: Matrix):
+        _set(self, "ambient", ambient)
+        _set(self, "basis", basis)
 
     @staticmethod
     def from_vectors(field: Field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -424,13 +484,15 @@ class Subspace:
         return self.extend(other.basis.entries)
 
 
-@dataclass(frozen=True)
-class MatrixTuple:
+class MatrixTuple(Frozen):
     """Ordered invertible generators (h_1, ..., h_m) of a matrix subgroup."""
 
-    field: Field
-    dim: int
-    components: tuple
+    _fields = ("field", "dim", "components")
+
+    def __init__(self, field: Field, dim: int, components: tuple):
+        _set(self, "field", field)
+        _set(self, "dim", dim)
+        _set(self, "components", components)
 
     @staticmethod
     def make(field: Field, mats) -> "MatrixTuple":

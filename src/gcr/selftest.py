@@ -53,7 +53,8 @@ def adjoint_sl2_tuple(p: int) -> MatrixTuple:
         cols = []
         for b in basis:
             img = g * b * gi
-            assert img.trace() == field.zero
+            if img.trace() != field.zero:
+                raise AssertionError("conjugate is not trace-zero")
             cols.append((img.entries[0][1], img.entries[1][0], img.entries[0][0]))
         ent = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
         out.append(Matrix(field, 3, 3, ent))

@@ -1,6 +1,8 @@
+import ast
 import io
 import itertools
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -438,6 +440,31 @@ def test_parse_huge_modulus_refused_quickly():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=10)
     assert proc.returncode == 0 and proc.stdout == "$.field.p\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each CLI invocation pays the import; the stdlib modules gcr needs
+    # anyway are loaded first, so only what gcr itself adds is checked
+    code = ("import argparse, json, fractions, functools, itertools, bisect\n"
+            "import collections, math, sys\n"
+            "before = set(sys.modules)\n"
+            "import gcr, gcr.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements; certificate checks raise
+    # AssertionError explicitly instead
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "gcr"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_module_entry_point_smoke():

@@ -1,8 +1,12 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+from gcr.cochar import Cocharacter
+from gcr.instability import WeightSet, optimal_cocharacter
+from gcr.jobs import JobRequest
 from gcr.linalg import (GF, QQ, Field, Matrix, MatrixTuple, Subspace,
                         commutant, kernel_basis, rref, solve_affine,
                         span_basis, spin, sylvester_rows)
@@ -23,6 +27,42 @@ def test_field_validation():
         Field(1)
     with pytest.raises(ValueError):
         Field(2**31 + 11)
+
+
+@pytest.mark.parametrize("make, name, text, cached", [
+    pytest.param(lambda: Field(5), "p", "GF(5)", None, id="Field-GF5"),
+    pytest.param(lambda: Field(), "p", "QQ", None, id="Field-QQ"),
+    pytest.param(lambda: mat(GF(5), [[1, 2], [3, 4]]), "entries", None, None,
+                 id="Matrix"),
+    pytest.param(lambda: Subspace.from_vectors(GF(5), 3, [(0, 2, 4), (1, 0, 0)]),
+                 "basis", None, "pivots", id="Subspace"),
+    pytest.param(lambda: MatrixTuple.make(QQ, [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]),
+                 "components", None, "span", id="MatrixTuple"),
+    pytest.param(lambda: Cocharacter((1, -1)), "exponents",
+                 "Cocharacter(exponents=(1, -1), conjugator=None)", None,
+                 id="Cocharacter"),
+    pytest.param(lambda: WeightSet.of([(1, 0), (0, 1), (1, 0)]), "weights",
+                 "WeightSet(rank=2, weights=((0, 1), (1, 0)))", None,
+                 id="WeightSet"),
+    pytest.param(lambda: optimal_cocharacter(WeightSet.of([(1, 0), (0, 1)])),
+                 "lam_opt", None, None, id="InstabilityReport"),
+    pytest.param(lambda: JobRequest("limit", QQ, matrix=mat(QQ, [[1, 1], [0, 1]]),
+                                    exponents=(1, -1)),
+                 "budget", None, None, id="JobRequest"),
+])
+def test_value_semantics(make, name, text, cached):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert copy.deepcopy(a) == a
+    with pytest.raises(AttributeError):
+        setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    assert getattr(a, name) == getattr(b, name)
+    if text is not None:
+        assert repr(a) == text
+    if cached is not None:
+        assert getattr(a, cached) is getattr(a, cached) and cached in vars(a)
 
 
 def test_scalar_canonicalization():
