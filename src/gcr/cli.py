@@ -8,6 +8,7 @@ exceeded, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -25,8 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON job document (default: stdin)")
     parser.add_argument("--budget", type=int, default=None,
                         help="override the enumeration budget")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; output is identical for any value")
     return parser
 
 
@@ -34,31 +33,30 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code == 0 else 1
-
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=stderr)
-        return 1
+    # usage errors and --help go to this call's streams
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 0 if e.code == 0 else 1
 
     if args.command == "selftest":
         doc: object = {"command": "selftest"}
-    elif args.input is not None:
+    else:
         try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                doc = fh.read()
+            if args.input is None:
+                doc = stdin.read()
+            else:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    doc = fh.read()
         except OSError as e:
             print(f"error: {e}", file=stderr)
             return 1
         except UnicodeDecodeError as e:
-            print(f"error: {args.input}: not UTF-8 ({e.reason} at position "
+            name = "stdin" if args.input is None else args.input
+            print(f"error: {name}: not UTF-8 ({e.reason} at position "
                   f"{e.start})", file=stderr)
             return 1
-    else:
-        doc = stdin.read()
 
     try:
         req = parse_request(doc)

@@ -19,12 +19,9 @@ membership.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
-from .linalg import Field, Frozen, Matrix, MatrixTuple, Subspace
-
-_set = object.__setattr__
+from .linalg import Frozen, Matrix, MatrixTuple, Subspace
 
 
 class Cocharacter(Frozen):
@@ -39,8 +36,7 @@ class Cocharacter(Frozen):
                 raise ValueError("conjugator dimension mismatch")
             if not conjugator.is_invertible():
                 raise ValueError("conjugator not invertible")
-        _set(self, "exponents", exps)
-        _set(self, "conjugator", conjugator)
+        super().__init__(exps, conjugator)
 
     @property
     def n(self) -> int:
@@ -71,13 +67,6 @@ class ParabolicData(Frozen):
 
     _fields = ("exponents", "order", "block_sizes", "block_exponents")
 
-    def __init__(self, exponents: tuple, order: tuple, block_sizes: tuple,
-                 block_exponents: tuple):
-        _set(self, "exponents", exponents)
-        _set(self, "order", order)
-        _set(self, "block_sizes", block_sizes)
-        _set(self, "block_exponents", block_exponents)
-
     @property
     def is_proper(self) -> bool:
         return len(self.block_sizes) > 1
@@ -103,18 +92,6 @@ class ParabolicData(Frozen):
         e = self.exponents
         n = len(e)
         return tuple((i, j) for i in range(n) for j in range(n) if e[i] > e[j])
-
-    def enumerate_ru(self, field: Field):
-        """All members of R_u(P) over a finite field, in lexicographic order
-        of the free-entry values."""
-        positions = self.free_ru_positions()
-        n = len(self.exponents)
-        for values in itertools.product(field.elements(), repeat=len(positions)):
-            rows = [[field.one if i == j else field.zero for j in range(n)]
-                    for i in range(n)]
-            for (i, j), v in zip(positions, values):
-                rows[i][j] = v
-            yield Matrix(field, n, n, tuple(tuple(r) for r in rows))
 
 
 def parabolic_of(lam: Cocharacter) -> ParabolicData:

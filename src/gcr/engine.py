@@ -25,28 +25,19 @@ from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Frozen, Matrix,
                      MatrixTuple, Subspace, commutant, kernel_basis,
                      solve_affine, spin, sylvester_rows)
 
-_set = object.__setattr__
-
 
 class ModuleDecomposition(Frozen):
     """Composition series 0 = V_0 < ... < V_s = V with split diagnostics.
 
-    complements[i] is the canonical invariant complement of the proper
-    member V_{i+1} in V, or None; step_split[i] records whether it exists,
-    and the module is semisimple iff every step splits.
+    series holds the Subspaces, zero through full.  complements holds one
+    entry per proper member: complements[i] is the canonical invariant
+    complement of V_{i+1} in V, or None; step_split[i] records whether it
+    exists, and the module is semisimple iff every step splits.
     factor_commutant_dims hold the commutant dimension of each factor action
     (1 means absolutely irreducible).
     """
 
     _fields = ("series", "factor_commutant_dims", "complements")
-
-    def __init__(self,
-                 series: tuple,         # Subspaces, zero through full
-                 factor_commutant_dims: tuple,
-                 complements: tuple):   # Subspace or None, one per proper member
-        _set(self, "series", series)
-        _set(self, "factor_commutant_dims", factor_commutant_dims)
-        _set(self, "complements", complements)
 
     @property
     def factor_dims(self) -> tuple:
@@ -64,22 +55,14 @@ class ModuleDecomposition(Frozen):
 class WitnessParabolic(Frozen):
     """A flag plus adapted cocharacter certifying failure of reducibility.
 
-    Every generator stabilizes every flag member, and the flag member at
-    1-based index `step` admits no invariant complement (re-verifiable via
+    flag holds the proper nonzero members, then the full space; cochar is
+    adapted to it, and reason is "no-complement" or "borel-tits".  Every
+    generator stabilizes every flag member, and the flag member at 1-based
+    index `step` admits no invariant complement (re-verifiable via
     has_invariant_complement).
     """
 
     _fields = ("flag", "cochar", "reason", "step")
-
-    def __init__(self,
-                 flag: tuple,   # proper nonzero members, then the full space
-                 cochar: Cocharacter,
-                 reason: str,   # "no-complement" or "borel-tits"
-                 step: int):
-        _set(self, "flag", flag)
-        _set(self, "cochar", cochar)
-        _set(self, "reason", reason)
-        _set(self, "step", step)
 
 
 def _stable_under(comps: Sequence[Matrix], sub: Subspace) -> bool:

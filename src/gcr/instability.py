@@ -22,8 +22,6 @@ from .cochar import Cocharacter
 from .linalg import (QQ, BudgetExceeded, DEFAULT_BUDGET, Frozen, Matrix,
                      MatrixTuple, solve_affine)
 
-_set = object.__setattr__
-
 
 class WeightSet(Frozen):
     """Finite set of distinct integer weight vectors, sorted for canonicity."""
@@ -37,8 +35,7 @@ class WeightSet(Frozen):
         for w in ws:
             if len(w) != rank:
                 raise ValueError("weight length mismatch")
-        _set(self, "rank", rank)
-        _set(self, "weights", tuple(ws))
+        super().__init__(rank, tuple(ws))
 
     @staticmethod
     def of(weights) -> "WeightSet":
@@ -227,32 +224,18 @@ def min_norm_point(w: WeightSet, budget: int = DEFAULT_BUDGET):
 class InstabilityReport(Frozen):
     """Verdict of the exact optimizer over one torus.
 
-    When semistable, the hull contains the origin, mu <= 0 for every
-    cocharacter, and lam_opt is absent.  Otherwise lam_opt is the primitive
-    integer vector on the ray through the minimum-norm point p, and
-    mu_opt^2 == value_sq * lam_norm_sq exactly.  hull_coeffs and margins
-    follow w.weights: the distinct weights sorted, not the input order.
+    min_point is the rational minimum-norm point p of the hull, value_sq is
+    <p, p>, hull_coeffs are rational, one per weight, summing to 1, and
+    margins are <p, chi_i> - <p, p>, all >= 0.  When semistable, the hull
+    contains the origin, mu <= 0 for every cocharacter, and lam_opt, mu_opt
+    and lam_norm_sq are None.  Otherwise lam_opt is the primitive integer
+    vector on the ray through p, and mu_opt^2 == value_sq * lam_norm_sq
+    exactly.  hull_coeffs and margins follow w.weights: the distinct weights
+    sorted, not the input order.
     """
 
     _fields = ("semistable", "min_point", "value_sq", "hull_coeffs", "margins",
                "lam_opt", "mu_opt", "lam_norm_sq")
-
-    def __init__(self, semistable: bool,
-                 min_point: tuple,           # rational vector p
-                 value_sq: Fraction,         # <p, p>
-                 hull_coeffs: tuple,         # rational, one per weight, summing to 1
-                 margins: tuple,             # <p, chi_i> - <p, p>, all >= 0
-                 lam_opt: Optional[tuple],   # primitive integer vector, or None
-                 mu_opt: Optional[int],
-                 lam_norm_sq: Optional[int]):
-        _set(self, "semistable", semistable)
-        _set(self, "min_point", min_point)
-        _set(self, "value_sq", value_sq)
-        _set(self, "hull_coeffs", hull_coeffs)
-        _set(self, "margins", margins)
-        _set(self, "lam_opt", lam_opt)
-        _set(self, "mu_opt", mu_opt)
-        _set(self, "lam_norm_sq", lam_norm_sq)
 
 
 def optimal_cocharacter(w: WeightSet, budget: int = DEFAULT_BUDGET) -> InstabilityReport:
@@ -281,11 +264,6 @@ class BoxOptimum(Frozen):
     """Best cocharacter in an integer box, with its comparison witness."""
 
     _fields = ("lam", "mu", "norm_sq")
-
-    def __init__(self, lam: tuple, mu: int, norm_sq: int):
-        _set(self, "lam", lam)
-        _set(self, "mu", mu)
-        _set(self, "norm_sq", norm_sq)
 
 
 def brute_force_optimum(w: WeightSet, box: int,

@@ -33,9 +33,6 @@ class RequestError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-_set = object.__setattr__
-
-
 class JobRequest(Frozen):
     _fields = ("command", "field", "matrices", "matrix", "exponents",
                "conjugator", "weights", "budget")
@@ -47,14 +44,8 @@ class JobRequest(Frozen):
                  conjugator: Optional[Matrix] = None,
                  weights: Optional[WeightSet] = None,
                  budget: int = DEFAULT_BUDGET):
-        _set(self, "command", command)
-        _set(self, "field", field)
-        _set(self, "matrices", matrices)
-        _set(self, "matrix", matrix)
-        _set(self, "exponents", exponents)
-        _set(self, "conjugator", conjugator)
-        _set(self, "weights", weights)
-        _set(self, "budget", budget)
+        super().__init__(command, field, matrices, matrix, exponents,
+                         conjugator, weights, budget)
 
 
 def _expect(cond, path, message):

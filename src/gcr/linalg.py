@@ -30,8 +30,9 @@ class Frozen:
 
     Instances compare equal, and hash equal, when they have the same class
     and equal field values; assigning or deleting an attribute raises
-    AttributeError.  Each subclass sets its fields once in `__init__`, with
-    object.__setattr__, taking them as parameters in `_fields` order.
+    AttributeError.  The constructor takes one value per field, in `_fields`
+    order; a subclass that checks or defaults its arguments ends its own
+    `__init__` in `super().__init__(...)`.
     """
 
     __slots__ = ()
@@ -39,6 +40,13 @@ class Frozen:
 
     def __init_subclass__(cls):
         cls._values = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} "
+                            f"values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -63,8 +71,12 @@ class Frozen:
 
     def _replace(self, **changes):
         """A copy with the named fields changed."""
-        return type(self)(**{name: getattr(self, name) for name in self._fields}
-                          | changes)
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise TypeError(f"{type(self).__qualname__} has no field "
+                            f"{min(unknown)!r}")
+        return type(self)(*(changes.get(name, getattr(self, name))
+                            for name in self._fields))
 
 
 def _is_prime(p: int) -> bool:
@@ -175,6 +187,8 @@ class Matrix(Frozen):
 
     _fields = ("field", "rows", "cols", "entries")
 
+    # Matrix and Subspace are built in the engine's inner loops, so they set
+    # their fields directly instead of through Frozen's generic loop.
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
         _set(self, "field", field)
         _set(self, "rows", rows)
@@ -488,11 +502,6 @@ class MatrixTuple(Frozen):
     """Ordered invertible generators (h_1, ..., h_m) of a matrix subgroup."""
 
     _fields = ("field", "dim", "components")
-
-    def __init__(self, field: Field, dim: int, components: tuple):
-        _set(self, "field", field)
-        _set(self, "dim", dim)
-        _set(self, "components", components)
 
     @staticmethod
     def make(field: Field, mats) -> "MatrixTuple":

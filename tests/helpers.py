@@ -376,6 +376,19 @@ def sylvester_complement(h: MatrixTuple, w: Subspace):
 
 # -- enumeration oracles for R_u conjugators and normal closures -------------
 
+def enumerate_ru(pd, field: Field):
+    """All p^k members of R_u(P) for ParabolicData pd over a finite field,
+    in lexicographic order of the free-entry values; no budget."""
+    positions = pd.free_ru_positions()
+    n = len(pd.exponents)
+    for values in itertools.product(field.elements(), repeat=len(positions)):
+        rows = [[field.one if i == j else field.zero for j in range(n)]
+                for i in range(n)]
+        for (i, j), v in zip(positions, values):
+            rows[i][j] = v
+        yield Matrix(field, n, n, tuple(tuple(r) for r in rows))
+
+
 def enumerate_ru_conjugator(h: MatrixTuple, lam):
     """The lexicographically least u in R_u(P_lam) with u.h the limit of h
     under lam, by trying every member of R_u(P_lam) over F_p, or None.

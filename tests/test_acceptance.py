@@ -24,10 +24,11 @@ from gcr.linalg import (GF, BudgetExceeded, Matrix, MatrixTuple, Subspace,
                         commutant)
 from gcr.selftest import adjoint_sl2_tuple
 
-from helpers import (enumerate_gl, fm_feasible, random_conjugated_diagonal,
-                     random_monomial_matrix, random_permutation_matrix,
-                     random_unipotent_tuple, random_weight_set, rapply,
-                     raw_tuple, rmul, rspan, to_matrix, tuples_conjugate)
+from helpers import (enumerate_gl, enumerate_ru, fm_feasible,
+                     random_conjugated_diagonal, random_monomial_matrix,
+                     random_permutation_matrix, random_unipotent_tuple,
+                     random_weight_set, rapply, raw_tuple, rmul, rspan,
+                     to_matrix, tuples_conjugate)
 
 
 def _report(num, name, failures, extra=""):
@@ -503,7 +504,7 @@ def test_criterion_11_invariances():
                 continue
             pd = parabolic_of(Cocharacter(exps))
             want = mu(base, exps)
-            for u in pd.enumerate_ru(field):
+            for u in enumerate_ru(pd, field):
                 if mu_conjugated(h, Cocharacter(exps, u)) != want:
                     failures.append(("mu-ru", raw_tuple(h), exps))
 
@@ -518,7 +519,7 @@ def test_criterion_11_invariances():
                 continue
             pd = parabolic_of(Cocharacter(exps))
             want = mu(base, exps)
-            for u in pd.enumerate_ru(field):
+            for u in enumerate_ru(pd, field):
                 if mu_conjugated(h, Cocharacter(exps, u)) != want:
                     failures.append(("mu-ru-3", raw_tuple(h), exps))
 

@@ -201,11 +201,19 @@ def test_cli_determinism():
     assert strip(out1) == strip(out2)
 
 
-def test_cli_threads_flag_does_not_change_output():
-    _, out1, _ = run_cli(["limit", "--threads", "1"], json.dumps(LIMIT_JOB))
-    _, out4, _ = run_cli(["limit", "--threads", "4"], json.dumps(LIMIT_JOB))
-    strip = lambda s: "\n".join(l for l in s.splitlines() if "elapsed_ms" not in l)
-    assert strip(out1) == strip(out4)
+def test_cli_threads_option_is_gone():
+    code, out, err = run_cli(["limit", "--threads", "4"], json.dumps(LIMIT_JOB))
+    assert code == 1 and out == ""
+    assert "usage: gcr" in err and "unrecognized arguments: --threads 4" in err
+
+
+def test_cli_usage_and_help_use_the_given_streams():
+    code, out, err = run_cli(["bogus"])
+    assert code == 1 and out == ""
+    assert "usage: gcr" in err and "invalid choice: 'bogus'" in err
+    code, out, err = run_cli(["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: gcr") and "--budget" in out
 
 
 def test_cli_invalid_input_exit_1():
@@ -424,6 +432,15 @@ def test_cli_input_file_not_utf8(tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(path) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_stdin_not_utf8():
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8")
+    code = main(["optimize"], stdin=stdin, stdout=out, stderr=err)
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: stdin: not UTF-8 (")
+    assert err.getvalue().count("\n") == 1
 
 
 def test_parse_huge_modulus_refused_quickly():

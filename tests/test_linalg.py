@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gcr.cochar import Cocharacter
-from gcr.instability import WeightSet, optimal_cocharacter
+from gcr.cochar import Cocharacter, parabolic_of
+from gcr.engine import composition_series, is_completely_reducible
+from gcr.instability import BoxOptimum, WeightSet, optimal_cocharacter
 from gcr.jobs import JobRequest
 from gcr.linalg import (GF, QQ, Field, Matrix, MatrixTuple, Subspace,
                         commutant, kernel_basis, rref, solve_affine,
@@ -29,6 +30,9 @@ def test_field_validation():
         Field(2**31 + 11)
 
 
+JORDAN_GF2 = MatrixTuple.make(GF(2), [[[1, 1], [0, 1]]])
+
+
 @pytest.mark.parametrize("make, name, text, cached", [
     pytest.param(lambda: Field(5), "p", "GF(5)", None, id="Field-GF5"),
     pytest.param(lambda: Field(), "p", "QQ", None, id="Field-QQ"),
@@ -49,6 +53,16 @@ def test_field_validation():
     pytest.param(lambda: JobRequest("limit", QQ, matrix=mat(QQ, [[1, 1], [0, 1]]),
                                     exponents=(1, -1)),
                  "budget", None, None, id="JobRequest"),
+    pytest.param(lambda: composition_series(JORDAN_GF2), "series", None, None,
+                 id="ModuleDecomposition"),
+    pytest.param(lambda: is_completely_reducible(JORDAN_GF2)[2], "flag", None,
+                 None, id="WitnessParabolic"),
+    pytest.param(lambda: BoxOptimum((1,), 3, 1), "mu",
+                 "BoxOptimum(lam=(1,), mu=3, norm_sq=1)", None, id="BoxOptimum"),
+    pytest.param(lambda: parabolic_of(Cocharacter((1, -1, 1))), "order",
+                 "ParabolicData(exponents=(1, -1, 1), order=(0, 2, 1), "
+                 "block_sizes=(2, 1), block_exponents=(1, -1))", None,
+                 id="ParabolicData"),
 ])
 def test_value_semantics(make, name, text, cached):
     a, b = make(), make()
@@ -63,6 +77,19 @@ def test_value_semantics(make, name, text, cached):
         assert repr(a) == text
     if cached is not None:
         assert getattr(a, cached) is getattr(a, cached) and cached in vars(a)
+
+
+def test_frozen_constructor_and_replace():
+    with pytest.raises(TypeError, match="BoxOptimum takes 3 values, got 2"):
+        BoxOptimum((1,), 3)
+    with pytest.raises(TypeError):
+        BoxOptimum((1,), 3, 1, 0)
+    wit = is_completely_reducible(JORDAN_GF2)[2]
+    moved = wit._replace(step=2)
+    assert type(moved) is type(wit) and moved.step == 2 and moved != wit
+    assert moved._replace(step=wit.step) == wit
+    with pytest.raises(TypeError, match="no field 'steps'"):
+        wit._replace(steps=2)
 
 
 def test_scalar_canonicalization():
