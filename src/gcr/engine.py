@@ -161,17 +161,20 @@ def _flag(h: MatrixTuple, step) -> tuple:
 def _candidate_vectors(sub: Subspace):
     """Vectors of sub to try as spin seeds when shrinking.
 
-    Over a finite field with at most 2^16 vectors this enumerates all
-    nonzero members (a complete irreducibility certificate); otherwise it
-    falls back to the basis rows, certified by re-spin.
+    Over a finite field with at most 2^16 vectors this yields one nonzero
+    member per line, since spin(c.v) = spin(v): the coefficient tuples whose
+    first nonzero entry is 1, in lexicographic order (a complete
+    irreducibility certificate).  Otherwise it falls back to the basis rows,
+    certified by re-spin.
     """
     field = sub.field
     d = sub.dim
     if field.p is not None and field.p ** d <= 1 << 16:
         combine = sub.basis.transpose()
-        for coeffs in itertools.product(field.elements(), repeat=d):
-            if any(coeffs):
-                yield combine.apply(coeffs)
+        for i in range(d - 1, -1, -1):
+            head = (0,) * i + (1,)
+            for tail in itertools.product(field.elements(), repeat=d - 1 - i):
+                yield combine.apply(head + tail)
     else:
         yield from sub.basis.entries
 

@@ -355,4 +355,5 @@ def run(req: JobRequest) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    """The report as one compact JSON line with sorted keys."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))

@@ -255,6 +255,31 @@ def enumerate_min_norm_point(w):
     return best[1], best[2]
 
 
+# -- spin-seed enumeration oracle ---------------------------------------------
+
+def all_candidate_vectors(sub: Subspace):
+    """Every nonzero vector of sub over a finite field, in lexicographic
+    order of its coefficients on sub's basis rows: the exhaustive seed
+    enumeration that engine._candidate_vectors replaced with one vector per
+    line."""
+    combine = sub.basis.transpose()
+    for coeffs in itertools.product(range(sub.field.p), repeat=sub.dim):
+        if any(coeffs):
+            yield combine.apply(coeffs)
+
+
+def first_of_each_line(p, vectors):
+    """The vectors, in order, without any that spans a line already seen."""
+    seen, out = set(), []
+    for v in vectors:
+        lead = next(x for x in v if x)
+        line = tuple(x * pow(lead, -1, p) % p for x in v)
+        if line not in seen:
+            seen.add(line)
+            out.append(v)
+    return out
+
+
 # -- invariant-complement oracle ---------------------------------------------
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -25,6 +25,14 @@ LIMIT_JOB = {"command": "limit", "field": {"kind": "prime_field", "p": 2},
              "lambda": [1, -1], "matrix": [["1", "1"], ["0", "1"]]}
 
 
+def _without_elapsed(out):
+    """The printed report, parsed, without its elapsed_ms, re-serialised
+    with sorted keys: equal exactly when the reports' values are equal."""
+    report = json.loads(out)
+    report.pop("elapsed_ms")
+    return json.dumps(report, sort_keys=True)
+
+
 def test_parse_valid_limit():
     req = parse_request(json.dumps(LIMIT_JOB))
     assert req.command == "limit"
@@ -197,8 +205,7 @@ def test_cli_determinism():
     code1, out1, _ = run_cli(["limit"], json.dumps(LIMIT_JOB))
     code2, out2, _ = run_cli(["limit"], json.dumps(LIMIT_JOB))
     assert code1 == code2 == 0
-    strip = lambda s: "\n".join(l for l in s.splitlines() if "elapsed_ms" not in l)
-    assert strip(out1) == strip(out2)
+    assert _without_elapsed(out1) == _without_elapsed(out2)
 
 
 def test_cli_threads_option_is_gone():
@@ -294,6 +301,24 @@ def test_cli_selftest_fresh_build_passes():
     assert report["ok"] is True and report["failed"] == 0
 
 
+def test_cli_report_is_one_compact_json_line():
+    # the check report nests matrices: series bases and the witness flag
+    doc = {"command": "check", "field": {"kind": "prime_field", "p": 3},
+           "matrices": [[["1", "0", "1"], ["0", "2", "0"], ["0", "0", "1"]],
+                        [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]]}
+    reports = []
+    for argv, text in ((["check"], json.dumps(doc)), (["selftest"], "")):
+        code, out, _ = run_cli(argv, text)
+        assert code == 0
+        line, end = out[:-1], out[-1:]
+        assert end == "\n" and "\n" not in line
+        assert line == json.dumps(json.loads(line), sort_keys=True,
+                                  separators=(",", ":"))
+        reports.append(json.loads(line))
+    assert reports[0]["series"][2] == [["1", "0", "0"], ["0", "1", "0"]]
+    assert reports[1]["ok"] is True
+
+
 def test_cli_selftest_budget_zero_exit_2():
     code, _, err = run_cli(["selftest", "--budget", "0"])
     assert code == 2 and "budget" in err.lower()
@@ -338,11 +363,10 @@ def test_run_semisimplify_certificate():
 def test_check_witness_byte_determinism():
     doc = {"command": "check", "field": {"kind": "prime_field", "p": 2},
            "matrices": [[["1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]]]}
-    strip = lambda s: "\n".join(l for l in s.splitlines() if "elapsed_ms" not in l)
     outs = set()
     for _ in range(3):
         _, out, _ = run_cli(["check"], json.dumps(doc))
-        outs.add(strip(out))
+        outs.add(_without_elapsed(out))
     assert len(outs) == 1
 
 

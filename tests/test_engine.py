@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -17,8 +18,9 @@ from gcr.linalg import (GF, QQ, BudgetExceeded, Matrix, MatrixTuple, Subspace,
                         commutant)
 from gcr.selftest import adjoint_sl2_tuple
 
-from helpers import (all_subspaces, enumerate_normal_closure,
-                     enumerate_ru_conjugator, gauss_jordan, intersect,
+from helpers import (all_candidate_vectors, all_subspaces,
+                     enumerate_normal_closure, enumerate_ru_conjugator,
+                     first_of_each_line, gauss_jordan, intersect,
                      projection_complement, random_gl_tuple, random_invertible,
                      random_monomial_matrix, random_unipotent_tuple, raw_tuple,
                      sylvester_complement, tuples_conjugate)
@@ -372,6 +374,57 @@ def test_action_matches_gauss_jordan_oracle(field):
                         _action_oracle(h.components, w, u)
                     pairs.add((u, w, j - i))
     assert len({p for p in pairs if p[2] > 1}) > 10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_candidate_vectors_one_per_line(p):
+    # one seed per line, in the order of each line's first appearance in
+    # the exhaustive enumeration
+    from gcr.engine import _candidate_vectors
+    field = GF(p)
+    rng = random.Random(300 + p)
+    for d in range(1, 5):
+        for _ in range(3):
+            n = rng.randint(d, 5)
+            while True:
+                sub = Subspace.from_vectors(
+                    field, n, [[rng.randrange(p) for _ in range(n)]
+                               for _ in range(d)])
+                if sub.dim == d:
+                    break
+            got = list(_candidate_vectors(sub))
+            assert got == first_of_each_line(p, all_candidate_vectors(sub))
+            assert len(got) == (p ** d - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(7)], ids=repr)
+def test_minimal_invariant_matches_exhaustive_seeds(field, monkeypatch):
+    # the first seed that shrinks the subspace has leading coefficient 1,
+    # so spinning one vector per line finds the same subspace, in fewer
+    # spins
+    from gcr import engine
+
+    def minimal_invariant(acts):
+        spins = itertools.count()
+        sub = engine._minimal_invariant(acts, lambda: next(spins))
+        return sub, next(spins)
+
+    rng = random.Random(61 + field.p)
+    sizes_list = ([1, 2], [2, 1], [1, 1, 1], [2, 2], [1, 3], [3, 1], [1, 2, 1])
+    if field.p == 3:
+        sizes_list += ([2, 3], [1, 1, 2, 2], [3, 3])
+    fewer = 0
+    for sizes in sizes_list:
+        for _ in range(2):
+            h, _ = _planted_flag(rng, field, sizes)
+            sub, spins = minimal_invariant(h.components)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_candidate_vectors", all_candidate_vectors)
+                old_sub, old_spins = minimal_invariant(h.components)
+            assert sub == old_sub
+            assert spins <= old_spins
+            fewer += spins < old_spins
+    assert fewer > 0
 
 
 def test_series_budget_counts_every_spin():
