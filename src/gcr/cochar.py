@@ -168,8 +168,9 @@ def cocharacter_from_flag(flag: Sequence[Subspace]) -> Cocharacter:
     The flag must be strictly increasing and end at the full space (a leading
     zero member is dropped).  The conjugator columns are an adapted basis
     mapping coordinate subspaces onto the flag; exponents are t-1, ..., 0,
-    constant on the blocks the flag cuts out, so the flag stabilizer is the
-    conjugated parabolic membership pattern.
+    constant on the blocks the flag cuts out (block sizes are the jumps in the
+    members' dimensions), so the flag stabilizer is the conjugated parabolic
+    membership pattern.
     """
     flag = list(flag)
     if flag and flag[0].is_zero:
@@ -190,21 +191,16 @@ def cocharacter_from_flag(flag: Sequence[Subspace]) -> Cocharacter:
 
     adapted = []
     span = Subspace.zero(field, n)
-    sizes = []
     for sub in flag:
-        start = len(adapted)
         for row in sub.basis.entries:
             if not span.contains(row):
                 adapted.append(row)
                 span = span.extend([row])
-        sizes.append(len(adapted) - start)
     if len(adapted) != n:
         raise AssertionError("flag basis is not adapted")
 
-    t = len(flag)
-    exps = []
-    for bi, size in enumerate(sizes):
-        exps.extend([t - 1 - bi] * size)
+    # adapted vector k lies in exactly the members of dimension > k
+    exps = tuple(sum(sub.dim > k for sub in flag) - 1 for k in range(n))
     g = Matrix(field, n, n, tuple(zip(*adapted)))
     ident = Matrix.identity(field, n)
-    return Cocharacter(tuple(exps), None if g == ident else g)
+    return Cocharacter(exps, None if g == ident else g)

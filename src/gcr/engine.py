@@ -53,16 +53,20 @@ class ModuleDecomposition(Frozen):
 
 
 class WitnessParabolic(Frozen):
-    """A flag plus adapted cocharacter certifying failure of reducibility.
+    """A flag certifying failure of reducibility.
 
-    flag holds the proper nonzero members, then the full space; cochar is
-    adapted to it, and reason is "no-complement" or "borel-tits".  Every
-    generator stabilizes every flag member, and the flag member at 1-based
-    index `step` admits no invariant complement (re-verifiable via
-    has_invariant_complement).
+    flag holds the proper nonzero members, then the full space, and reason
+    is "no-complement" or "borel-tits".  Every generator stabilizes every
+    flag member, and the flag member at 1-based index `step` admits no
+    invariant complement (re-verifiable via verify_witness).
     """
 
-    _fields = ("flag", "cochar", "reason", "step")
+    _fields = ("flag", "reason", "step")
+
+    @functools.cached_property
+    def cochar(self) -> Cocharacter:
+        """The cocharacter adapted to the flag (cocharacter_from_flag)."""
+        return cocharacter_from_flag(self.flag)
 
 
 def _stable_under(comps: Sequence[Matrix], sub: Subspace) -> bool:
@@ -229,8 +233,7 @@ def composition_series(h: MatrixTuple,
 
 def _witness(series: tuple, step: int) -> WitnessParabolic:
     """The series as a witness flag, naming the member at 1-based `step`."""
-    flag = series[1:]
-    return WitnessParabolic(flag, cocharacter_from_flag(flag), "no-complement", step)
+    return WitnessParabolic(series[1:], "no-complement", step)
 
 
 def is_completely_reducible(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
@@ -291,8 +294,7 @@ def borel_tits_flag(h: MatrixTuple) -> WitnessParabolic:
             raise ValueError("generated group is not unipotent")
         return fixed
 
-    flag = _flag(h, step)[1:]
-    return WitnessParabolic(flag, cocharacter_from_flag(flag), "borel-tits", 1)
+    return WitnessParabolic(_flag(h, step)[1:], "borel-tits", 1)
 
 
 def orbit_dimension(h: MatrixTuple) -> int:
@@ -476,21 +478,21 @@ def tuple_witness_search(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
 
 
 def verify_witness(h: MatrixTuple, wit: WitnessParabolic) -> bool:
-    """Re-verify a witness directly: flag stability, exhaustion, adapted
-    limit existence, and absence of an invariant complement at the named
-    member."""
-    prev = Subspace.zero(h.field, h.dim)
-    for sub in wit.flag:
-        if sub.dim <= prev.dim or not prev <= sub:
-            return False
-        if not _stable_under(h.components, sub):
-            return False
-        prev = sub
-    if not wit.flag[-1].is_full:
+    """Re-verify a witness directly: the flag is a flag of h's space that
+    cocharacter_from_flag accepts, with no zero member; every member is
+    generator-stable; the adapted limit exists; and the named member is a
+    proper one without an invariant complement.  Anything else, including a
+    flag of another field or dimension, returns False rather than raising."""
+    flag = wit.flag
+    if (not flag or flag[0].is_zero or flag[0].ambient != h.dim
+            or flag[0].field != h.field or not 1 <= wit.step < len(flag)):
         return False
-    if limit_tuple(wit.cochar, h) is None:
+    try:
+        lam = wit.cochar
+    except ValueError:
         return False
-    member = wit.flag[wit.step - 1]
-    if member.is_full:
+    if not all(_stable_under(h.components, sub) for sub in flag):
         return False
-    return has_invariant_complement(h, member) is None
+    if limit_tuple(lam, h) is None:
+        return False
+    return has_invariant_complement(h, flag[wit.step - 1]) is None

@@ -38,11 +38,9 @@ class WeightSet(Frozen):
         super().__init__(rank, tuple(ws))
 
     @staticmethod
-    def of(weights) -> "WeightSet":
-        weights = [tuple(int(x) for x in w) for w in weights]
-        if not weights:
-            raise ValueError("empty weight set")
-        return WeightSet(len(weights[0]), tuple(weights))
+    def of(weights: Sequence) -> "WeightSet":
+        """The weight set of rank len(weights[0])."""
+        return WeightSet(len(weights[0]) if weights else 0, weights)
 
 
 def _dot(u, v):

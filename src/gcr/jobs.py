@@ -89,23 +89,20 @@ def _parse_scalar(obj, field: Field, path):
         raise RequestError(path, f"bad scalar: {e}") from None
 
 
-def _parse_matrix(obj, field: Field, path, square=None) -> Matrix:
+def _parse_matrix(obj, field: Field, path, square) -> Matrix:
+    """A square matrix with `square` rows, or of any size if square is True."""
     _expect(isinstance(obj, list) and obj, path, "expected a non-empty matrix")
-    width = None
     rows = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list) and row, f"{path}[{i}]",
                 "expected a non-empty row")
-        if width is None:
-            width = len(row)
-        _expect(len(row) == width, f"{path}[{i}]", "jagged matrix")
-        rows.append([_parse_scalar(x, field, f"{path}[{i}][{j}]")
-                     for j, x in enumerate(row)])
-    m = Matrix.make(field, rows)
-    if square is not None:
-        ok = m.is_square and (square is True or m.rows == square)
-        _expect(ok, path, "expected a square matrix"
-                if square is True else f"expected a square {square}x{square} matrix")
+        _expect(len(row) == len(obj[0]), f"{path}[{i}]", "jagged matrix")
+        rows.append(tuple(_parse_scalar(x, field, f"{path}[{i}][{j}]")
+                          for j, x in enumerate(row)))
+    m = Matrix(field, len(rows), len(rows[0]), tuple(rows))
+    _expect(m.is_square and (square is True or m.rows == square), path,
+            "expected a square matrix"
+            if square is True else f"expected a square {square}x{square} matrix")
     return m
 
 

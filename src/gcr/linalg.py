@@ -371,7 +371,8 @@ def rref(m: Matrix):
 
 
 def _kernel_from_rref(field: Field, red_entries, pivots, cols: int):
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivset = set(pivots)
+    free = [c for c in range(cols) if c not in pivset]
     basis = []
     for fc in free:
         v = [field.zero] * cols
@@ -498,6 +499,17 @@ class Subspace(Frozen):
         return self.extend(other.basis.entries)
 
 
+def _generators_shape(mats: Sequence[Matrix]) -> tuple:
+    """(field, n) of a non-empty list of square n x n matrices over one
+    field; ValueError otherwise."""
+    if not mats:
+        raise ValueError("no generators")
+    field, n = mats[0].field, mats[0].rows
+    if not all(m.is_square and m.rows == n and m.field == field for m in mats):
+        raise ValueError("generators must be square of equal dimension")
+    return field, n
+
+
 class MatrixTuple(Frozen):
     """Ordered invertible generators (h_1, ..., h_m) of a matrix subgroup."""
 
@@ -505,22 +517,14 @@ class MatrixTuple(Frozen):
 
     @staticmethod
     def make(field: Field, mats) -> "MatrixTuple":
-        comps = []
-        for m in mats:
-            if not isinstance(m, Matrix):
-                m = Matrix.make(field, m)
-            comps.append(m)
-        if not comps:
-            raise ValueError("empty generator tuple")
-        n = comps[0].rows
-        for m in comps:
-            if m.field != field:
-                raise ValueError("field mismatch")
-            if not m.is_square or m.rows != n:
-                raise ValueError("generators must be square of equal dimension")
-            if not m.is_invertible():
-                raise ValueError("generator not invertible")
-        return MatrixTuple(field, n, tuple(comps))
+        comps = tuple(m if isinstance(m, Matrix) else Matrix.make(field, m)
+                      for m in mats)
+        if any(m.field != field for m in comps):
+            raise ValueError("field mismatch")
+        _, n = _generators_shape(comps)
+        if not all(m.is_invertible() for m in comps):
+            raise ValueError("generator not invertible")
+        return MatrixTuple(field, n, comps)
 
     def __iter__(self):
         return iter(self.components)
@@ -559,13 +563,7 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
     output is deterministic; the result is canonical RREF anyway.
     """
     mats = list(gens)
-    if not mats:
-        raise ValueError("no generators")
-    field = mats[0].field
-    n = mats[0].cols
-    for m in mats:
-        if not m.is_square or m.cols != n or m.field != field:
-            raise ValueError("generators must be square of equal dimension")
+    field, n = _generators_shape(mats)
     seeds = [tuple(field(x) for x in s) for s in seeds]
     if not seeds:
         raise ValueError("empty seed set")
@@ -607,13 +605,7 @@ def sylvester_rows(pairs) -> list:
 def commutant(gens) -> tuple:
     """Canonical basis of the algebra {a : a h_i = h_i a for all i}."""
     mats = list(gens)
-    if not mats:
-        raise ValueError("no generators")
-    field = mats[0].field
-    n = mats[0].rows
-    for m in mats:
-        if not m.is_square or m.rows != n or m.field != field:
-            raise ValueError("generators must be square of equal dimension")
+    field, n = _generators_shape(mats)
     rows = sylvester_rows([(hm, hm) for hm in span_basis(mats)])
     m = Matrix(field, len(rows), n * n, tuple(rows))
     sol = Subspace.from_vectors(field, n * n, kernel_basis(m))

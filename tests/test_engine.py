@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from gcr.cochar import Cocharacter, limit_tuple
+from gcr.cochar import Cocharacter, cocharacter_from_flag, limit_tuple
 from gcr.engine import (block_diagonal, borel_tits_flag, composition_series,
                         enumerate_group, has_invariant_complement,
                         is_completely_reducible, normal_closure,
@@ -22,7 +22,8 @@ from helpers import (all_candidate_vectors, all_subspaces,
                      enumerate_normal_closure, enumerate_ru_conjugator,
                      first_of_each_line, gauss_jordan, intersect,
                      projection_complement, random_gl_tuple, random_invertible,
-                     random_monomial_matrix, random_unipotent_tuple, raw_tuple,
+                     random_monomial_matrix, random_permutation_matrix,
+                     random_unipotent_tuple, raw_tuple,
                      sylvester_complement, tuples_conjugate)
 
 
@@ -277,13 +278,78 @@ def test_verify_witness_rejects_tampering():
     from gcr.engine import WitnessParabolic
     # point the step at a member that does have a complement... the full
     # space member is rejected outright
-    bad_step = WitnessParabolic(wit.flag, wit.cochar, wit.reason,
-                                len(wit.flag))
+    bad_step = WitnessParabolic(wit.flag, wit.reason, len(wit.flag))
     assert not verify_witness(h, bad_step)
     # a flag member that is not generator-stable is rejected
     bad_flag = (Subspace.from_vectors(GF(2), 3, [(0, 0, 1)]),) + wit.flag[1:]
-    bad = WitnessParabolic(bad_flag, wit.cochar, wit.reason, 1)
+    bad = WitnessParabolic(bad_flag, wit.reason, 1)
     assert not verify_witness(h, bad)
+    # a step outside 1..len(flag)-1 is rejected, not read from the end or
+    # past it
+    for step in (-2, -1, 0, len(wit.flag) + 1):
+        assert not verify_witness(h, wit._replace(step=step))
+    # so is a flag of another shape, or a tuple of another field or dimension
+    zero = Subspace.zero(GF(2), 3)
+    assert not verify_witness(h, wit._replace(flag=(zero,) + wit.flag))
+    assert not verify_witness(h, wit._replace(flag=()))
+    assert not verify_witness(h, wit._replace(flag=wit.flag[:1], step=1))
+    assert not verify_witness(e13_tuple(GF(3)), wit)
+    assert not verify_witness(jordan2(GF(2)), wit)
+
+
+def test_witness_cochar_is_derived_from_flag():
+    # the cocharacter is not a field: it cannot disagree with the flag
+    field = QQ
+    h = tup(field, mat(field, [[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
+    wit = is_completely_reducible(h)[2]
+    assert [s.dim for s in wit.flag] == [1, 2, 3]
+    assert wit.cochar == Cocharacter((2, 1, 0))
+    with pytest.raises(TypeError, match="no field 'cochar'"):
+        wit._replace(cochar=Cocharacter((0, 0, 0)))
+
+
+def _random_flag_tuple(rng, field, n, m, unipotent):
+    """m generators g t g^-1 with t upper triangular, with diagonal entries
+    1 if unipotent and +-1 otherwise, and small random entries above it.
+    g is invertible over F_p; over Q it is a permutation matrix, since a
+    hidden flag over Q can get the wrong verdict (ROADMAP item 1)."""
+    def entry():
+        return rng.randrange(field.p) if field.p else rng.randrange(-2, 3)
+
+    g = (random_invertible(rng, field, n) if field.p
+         else random_permutation_matrix(rng, field, n))
+
+    def upper():
+        rows = [[entry() if i < j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = 1 if unipotent else rng.choice((1, -1))
+        return mat(field, rows)
+
+    gi = g.inverse()
+    return tup(field, *(g * upper() * gi for _ in range(m)))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), QQ], ids=repr)
+def test_witnesses_verify_with_flag_cochar_random(field):
+    # the witnesses of check, witness and borel-tits re-verify, and each
+    # carries the cocharacter adapted to its flag
+    rng = random.Random(71)
+    seen = 0
+    for _ in range(12):
+        unipotent = rng.random() < 0.5
+        h = _random_flag_tuple(rng, field, rng.randrange(2, 5),
+                               rng.randrange(1, 3), unipotent)
+        cr, _, wit = is_completely_reducible(h)
+        if cr:
+            continue
+        seen += 1
+        wits = [wit, tuple_witness_search(h)[0]]
+        if unipotent:
+            wits.append(borel_tits_flag(h))
+        for w in wits:
+            assert verify_witness(h, w)
+            assert w.cochar == cocharacter_from_flag(w.flag)
+    assert seen >= 10
 
 
 def test_series_quotients_irreducible_random():

@@ -56,7 +56,7 @@ JORDAN_GF2 = MatrixTuple.make(GF(2), [[[1, 1], [0, 1]]])
     pytest.param(lambda: composition_series(JORDAN_GF2), "series", None, None,
                  id="ModuleDecomposition"),
     pytest.param(lambda: is_completely_reducible(JORDAN_GF2)[2], "flag", None,
-                 None, id="WitnessParabolic"),
+                 "cochar", id="WitnessParabolic"),
     pytest.param(lambda: BoxOptimum((1,), 3, 1), "mu",
                  "BoxOptimum(lam=(1,), mu=3, norm_sq=1)", None, id="BoxOptimum"),
     pytest.param(lambda: parabolic_of(Cocharacter((1, -1, 1))), "order",
@@ -77,6 +77,8 @@ def test_value_semantics(make, name, text, cached):
         assert repr(a) == text
     if cached is not None:
         assert getattr(a, cached) is getattr(a, cached) and cached in vars(a)
+        # equality and hashing ignore the cached value
+        assert cached not in vars(b) and a == b and hash(a) == hash(b)
 
 
 def test_frozen_constructor_and_replace():
@@ -306,12 +308,29 @@ def _random_invertible_qq(rng, n):
 
 
 def test_matrix_tuple_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not invertible"):
         MatrixTuple.make(QQ, [[[1, 0], [0, 0]]])  # singular
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no generators"):
         MatrixTuple.make(QQ, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square of equal dimension"):
         MatrixTuple.make(QQ, [[[1, 0], [0, 1]], [[1]]])  # mixed dims
+    with pytest.raises(ValueError, match="field mismatch"):
+        MatrixTuple.make(QQ, [Matrix.identity(GF(2), 2)])
+
+
+def test_generator_list_check_shared():
+    # spin, commutant and MatrixTuple.make reject the same generator lists
+    i2 = Matrix.identity(QQ, 2)
+    shapes = ([i2, Matrix.identity(QQ, 1)], [i2, Matrix.identity(GF(2), 2)],
+              [mat(QQ, [[1, 0]])])
+    for gens in shapes:
+        for call in (lambda: spin([(1, 0)], gens), lambda: commutant(gens)):
+            with pytest.raises(ValueError, match="square of equal dimension"):
+                call()
+    for call in (lambda: spin([(1, 0)], []), lambda: commutant([]),
+                 lambda: MatrixTuple.make(QQ, [])):
+        with pytest.raises(ValueError, match="no generators"):
+            call()
 
 
 def test_span_basis_reduces():
