@@ -7,9 +7,9 @@ from .cochar import (Cocharacter, ParabolicData, cocharacter_from_flag,
 from .engine import (ModuleDecomposition, WitnessParabolic, block_diagonal,
                      borel_tits_flag, composition_series, enumerate_group,
                      has_invariant_complement, is_completely_reducible,
-                     lift_block_exponents, normal_closure, orbit_dimension,
-                     product_check, ru_conjugator, semisimplify,
-                     tuple_witness_search, verify_witness)
+                     normal_closure, orbit_dimension, product_check,
+                     ru_conjugator, semisimplify, tuple_witness_search,
+                     verify_witness)
 from .instability import (BoxOptimum, InstabilityReport, WeightSet,
                           brute_force_optimum, f_compare, min_norm_point, mu,
                           mu_conjugated, norm_sq, optimal_cocharacter,

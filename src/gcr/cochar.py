@@ -25,18 +25,44 @@ from .linalg import Frozen, Matrix, MatrixTuple, Subspace
 
 
 class Cocharacter(Frozen):
+    """a -> g diag(a^e) g^-1 for g = conjugator (the identity when None).
+    Consumers work in the core basis g^-1 x g (core, undone by uncore); g is
+    inverted once, here, and g^-1 is kept outside the compared fields."""
+
     _fields = ("exponents", "conjugator")
 
     def __init__(self, exponents: tuple, conjugator: Optional[Matrix] = None):
         exps = tuple(int(e) for e in exponents)
         if not exps:
             raise ValueError("empty exponent vector")
+        inverse = None
         if conjugator is not None:
             if not conjugator.is_square or conjugator.rows != len(exps):
                 raise ValueError("conjugator dimension mismatch")
-            if not conjugator.is_invertible():
-                raise ValueError("conjugator not invertible")
+            try:
+                inverse = conjugator.inverse()
+            except ValueError:
+                raise ValueError("conjugator not invertible") from None
         super().__init__(exps, conjugator)
+        object.__setattr__(self, "_inverse", inverse)
+
+    def with_exponents(self, exponents: Sequence[int]) -> "Cocharacter":
+        """The cocharacter of other exponents on the same torus g T g^-1,
+        without inverting g again."""
+        exps = tuple(int(e) for e in exponents)
+        if len(exps) != self.n:
+            raise ValueError("length mismatch")
+        lam = object.__new__(Cocharacter)
+        lam.__dict__.update(vars(self), exponents=exps)
+        return lam
+
+    def core(self, x: Matrix) -> Matrix:
+        """x in the core basis: g^-1 x g."""
+        return x if self.conjugator is None else self._inverse * x * self.conjugator
+
+    def uncore(self, x: Matrix) -> Matrix:
+        """x back from the core basis: g x g^-1."""
+        return x if self.conjugator is None else self.conjugator * x * self._inverse
 
     @property
     def n(self) -> int:
@@ -97,8 +123,8 @@ class ParabolicData(Frozen):
 def parabolic_of(lam: Cocharacter) -> ParabolicData:
     """Block parabolic data of a diagonal cocharacter.
 
-    A conjugated cocharacter is rejected; conjugate the test matrices by
-    g^-1 instead and use the diagonal core.
+    A conjugated cocharacter is rejected; test lam.core(x) against the
+    diagonal core instead.
     """
     if not lam.is_diagonal:
         raise ValueError("parabolic data requires an unconjugated cocharacter")
@@ -143,12 +169,8 @@ def limit_conj(lam: Cocharacter, x: Matrix) -> Optional[Matrix]:
     """
     if not x.is_square or x.rows != lam.n:
         raise ValueError("dimension mismatch")
-    g = lam.conjugator
-    if g is None:
-        return _limit_diagonal(lam.exponents, x)
-    gi = g.inverse()
-    lim = _limit_diagonal(lam.exponents, gi * x * g)
-    return None if lim is None else g * lim * gi
+    lim = _limit_diagonal(lam.exponents, lam.core(x))
+    return None if lim is None else lam.uncore(lim)
 
 
 def limit_tuple(lam: Cocharacter, h: MatrixTuple) -> Optional[MatrixTuple]:

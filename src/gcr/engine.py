@@ -334,24 +334,20 @@ def ru_conjugator(h: MatrixTuple, lam: Cocharacter) -> Optional[Matrix]:
     """u in R_u(P_lam) with u.h equal to the limit of h under lam, or None.
 
     When u exists the limit stays in the orbit; None certifies that it
-    leaves the orbit.  In the core basis (g^-1 . g) write u = I + N with N on
+    leaves the orbit.  In lam's core basis (lam.core) write u = I + N with N on
     the free R_u positions: u c u^-1 = l is the affine system l N - N c =
     c - l for each component c and its limit l.  The unknowns run over the
     free positions in reverse, so the particular solution (free unknowns
     zero) is the lexicographically least u over F_p, and canonical over Q.
     """
     field, n = h.field, h.dim
-    if lam.n != n:
-        raise ValueError("dimension mismatch")
-    lim = limit_tuple(lam, h)
+    lim = limit_tuple(lam, h)  # raises on a dimension mismatch
     if lim is None:
         raise ValueError("limit does not exist")
 
-    g = lam.conjugator if lam.conjugator is not None else Matrix.identity(field, n)
-    gi = g.inverse()
     pairs, rhs = [], []
     for c, lc in zip(h.components, lim.components):
-        c0, l0 = gi * c * g, gi * lc * g
+        c0, l0 = lam.core(c), lam.core(lc)
         pairs.append((l0, c0))
         rhs.extend(x for row in (c0 - l0).entries for x in row)
     cols = [i * n + j for i, j in
@@ -364,7 +360,7 @@ def ru_conjugator(h: MatrixTuple, lam: Cocharacter) -> Optional[Matrix]:
     u0 = Matrix(field, n, n, tuple(
         tuple(x.get(i * n + j, field.one if i == j else field.zero)
               for j in range(n)) for i in range(n)))
-    u = g * u0 * gi
+    u = lam.uncore(u0)
     ui = u.inverse()
     if not all(u * c * ui == lc for c, lc in zip(h.components, lim.components)):
         raise AssertionError("conjugated tuple is not the limit")
@@ -434,14 +430,6 @@ def normal_closure(h: MatrixTuple, indices: Sequence[int],
     return MatrixTuple(field, h.dim, tuple(sorted(closure, key=_entry_key)))
 
 
-def lift_block_exponents(values: Sequence[int], block_sizes: Sequence[int]) -> tuple:
-    """Expand per-block exponents to per-coordinate exponents."""
-    out = []
-    for v, s in zip(values, block_sizes):
-        out.extend([int(v)] * s)
-    return tuple(out)
-
-
 def tuple_witness_search(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     """Heuristic destabilising data for a non-completely-reducible tuple.
 
@@ -453,8 +441,9 @@ def tuple_witness_search(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
     the whole tuple support and its limit is the semisimplification (which
     leaves the orbit).  Optimality over all maximal tori is not claimed.
 
-    Returns (witness, instability report over the block weights), or None
-    for a completely reducible tuple.
+    Returns (witness, instability report over the block weights, the
+    report's optimal block exponents as a cocharacter on the witness's
+    torus), or None for a completely reducible tuple.
     """
     series = _series(h, budget)
     step = next((i for i, v in enumerate(series[1:-1], 1)
@@ -463,18 +452,21 @@ def tuple_witness_search(h: MatrixTuple, budget: int = DEFAULT_BUDGET):
         return None
     wit = _witness(series, step)
     lam = wit.cochar
-    sup = support_of_tuple(h, lam.conjugator)
+    sup = support_of_tuple(h, lam)
     strict = [chi for chi in sup.weights
               if sum(a * c for a, c in zip(lam.exponents, chi)) > 0]
     if not strict:
         raise AssertionError(
             "non-split module must have a strictly destabilised weight")
-    blocks = [tuple(sum(chi[a.dim:b.dim]) for a, b in zip(series, series[1:]))
-              for chi in strict]
-    report = optimal_cocharacter(WeightSet.of(blocks), budget=budget)
+    blocks = list(zip(series, series[1:]))
+    report = optimal_cocharacter(WeightSet.of(
+        [tuple(sum(chi[a.dim:b.dim]) for a, b in blocks) for chi in strict]),
+        budget=budget)
     if report.semistable:
         raise AssertionError("block weights of a non-split module are semistable")
-    return wit, report
+    destab = lam.with_exponents(
+        v for v, (a, b) in zip(report.lam_opt, blocks) for _ in range(a.dim, b.dim))
+    return wit, report, destab
 
 
 def verify_witness(h: MatrixTuple, wit: WitnessParabolic) -> bool:

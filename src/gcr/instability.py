@@ -51,20 +51,18 @@ def norm_sq(v) -> int:
     return sum(int(x) * int(x) for x in v)
 
 
-def support_of_tuple(h: MatrixTuple, g: Optional[Matrix] = None) -> WeightSet:
-    """Weight support of a tuple for the conjugation action, in basis g.
+def support_of_tuple(h: MatrixTuple, lam: Optional[Cocharacter] = None) -> WeightSet:
+    """Weight support of a tuple for the conjugation action, on the torus
+    of lam (the diagonal torus when lam is None).
 
-    After rewriting each component in the basis given by the columns of g,
-    the weight e_i - e_j lies in the support iff some component has a
-    nonzero (i, j) entry; 0 is in the support iff a diagonal entry survives.
+    After rewriting each component in lam's core basis (lam.core), the
+    weight e_i - e_j lies in the support iff some component has a nonzero
+    (i, j) entry; 0 is in the support iff a diagonal entry survives.
     """
-    comps = list(h.components)
     n = h.dim
-    if g is not None:
-        if not g.is_square or g.rows != n or g.field != h.field:
-            raise ValueError("dimension mismatch")
-        gi = g.inverse()
-        comps = [gi * c * g for c in comps]
+    if lam is not None and lam.n != n:
+        raise ValueError("dimension mismatch")
+    comps = h.components if lam is None else [lam.core(c) for c in h.components]
     seen = set()
     for c in comps:
         for i in range(n):
@@ -87,9 +85,7 @@ def mu(w: WeightSet, lam: Sequence[int]) -> int:
 
 def mu_conjugated(h: MatrixTuple, lam: Cocharacter) -> int:
     """mu for a cocharacter of the conjugated torus g T g^-1."""
-    if lam.n != h.dim:
-        raise ValueError("dimension mismatch")
-    return mu(support_of_tuple(h, lam.conjugator), lam.exponents)
+    return mu(support_of_tuple(h, lam), lam.exponents)
 
 
 def f_compare(w: WeightSet, lam1: Sequence[int], lam2: Sequence[int]) -> int:

@@ -16,7 +16,7 @@ from typing import Optional
 from . import engine
 from .cochar import Cocharacter, limit_conj, limit_tuple
 from .instability import InstabilityReport, WeightSet, optimal_cocharacter
-from .linalg import DEFAULT_BUDGET, Field, Frozen, Matrix, MatrixTuple, Subspace
+from .linalg import DEFAULT_BUDGET, Field, Frozen, Matrix, MatrixTuple
 
 COMMANDS = ("check", "limit", "optimize", "semisimplify", "borel-tits",
             "witness", "orbit-dim", "selftest")
@@ -34,18 +34,17 @@ class RequestError(ValueError):
 
 
 class JobRequest(Frozen):
-    _fields = ("command", "field", "matrices", "matrix", "exponents",
-               "conjugator", "weights", "budget")
+    _fields = ("command", "field", "matrices", "matrix", "cocharacter",
+               "weights", "budget")
 
     def __init__(self, command: str, field: Optional[Field] = None,
                  matrices: Optional[MatrixTuple] = None,
                  matrix: Optional[Matrix] = None,
-                 exponents: Optional[tuple] = None,
-                 conjugator: Optional[Matrix] = None,
+                 cocharacter: Optional[Cocharacter] = None,
                  weights: Optional[WeightSet] = None,
                  budget: int = DEFAULT_BUDGET):
-        super().__init__(command, field, matrices, matrix, exponents,
-                         conjugator, weights, budget)
+        super().__init__(command, field, matrices, matrix, cocharacter,
+                         weights, budget)
 
 
 def _expect(cond, path, message):
@@ -170,17 +169,19 @@ def parse_request(text) -> JobRequest:
         if "conjugator" in doc:
             conj = _parse_matrix(doc["conjugator"], field, "$.conjugator",
                                  square=len(exps))
-            _expect(conj.is_invertible(), "$.conjugator",
-                    "conjugator not invertible")
+        try:
+            lam = Cocharacter(exps, conj)
+        except ValueError as e:  # shapes are checked above: g is singular
+            raise RequestError("$.conjugator", str(e)) from None
         _expect(("matrix" in doc) != ("matrices" in doc), "$.matrix",
                 "provide exactly one of 'matrix' or 'matrices'")
         if "matrix" in doc:
             m = _parse_matrix(doc["matrix"], field, "$.matrix", square=len(exps))
             return JobRequest(command=command, field=field, matrix=m,
-                              exponents=exps, conjugator=conj, budget=budget)
+                              cocharacter=lam, budget=budget)
         mats = _parse_generators(doc["matrices"], field, square=len(exps))
         return JobRequest(command=command, field=field, matrices=mats,
-                          exponents=exps, conjugator=conj, budget=budget)
+                          cocharacter=lam, budget=budget)
 
     _expect("matrices" in doc, "$.matrices", "missing generator matrices")
     mats = _parse_generators(doc["matrices"], field)
@@ -263,7 +264,7 @@ def _run_check(req: JobRequest) -> dict:
 
 
 def _run_limit(req: JobRequest) -> dict:
-    lam = Cocharacter(req.exponents, req.conjugator)
+    lam = req.cocharacter
     if req.matrix is not None:
         lim = limit_conj(lam, req.matrix)
         return {"exists": lim is not None,
@@ -301,12 +302,7 @@ def _run_witness(req: JobRequest) -> dict:
         return {"completely_reducible": True, "witness": None,
                 "instability": None, "destabilising_cocharacter": None,
                 "heuristic": True}
-    wit, rep = found
-    sizes = tuple(b.dim - a.dim for a, b in
-                  zip((Subspace.zero(req.field, req.matrices.dim),) + wit.flag,
-                      wit.flag))
-    lifted = engine.lift_block_exponents(rep.lam_opt, sizes)
-    destab = Cocharacter(lifted, wit.cochar.conjugator)
+    wit, rep, destab = found
     return {"completely_reducible": False,
             "witness": fmt_witness(wit),
             "instability": fmt_instability(rep),

@@ -157,16 +157,8 @@ class Field(Frozen):
     def sub(self, a, b):
         return a - b if self.p is None else (a - b) % self.p
 
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ValueError("division by zero")
-        return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
     def elements(self):
         """All field elements, in residue order.  Prime fields only."""

@@ -94,6 +94,11 @@ def raw_tuple(h: MatrixTuple):
 
 # -- elimination oracle ------------------------------------------------------
 
+def _field_inverse(f: Field, a):
+    """The inverse of a nonzero scalar: 1/a over Q, Fermat's a^(p-2) mod p."""
+    return 1 / Fraction(a) if f.p is None else pow(a, f.p - 2, f.p)
+
+
 def gauss_jordan(m: Matrix):
     """(RREF, pivot columns, rank) by textbook Gauss-Jordan elimination with
     per-scalar Field arithmetic: for each column, swap a nonzero row up,
@@ -109,12 +114,12 @@ def gauss_jordan(m: Matrix):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        inv = _field_inverse(f, rows[r][c])
+        rows[r] = [f(inv * x) for x in rows[r]]
         for i in range(nr):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y))
+                rows[i] = [f.sub(x, f(factor * y))
                            for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
@@ -172,7 +177,7 @@ def random_permutation_matrix(rng: random.Random, field: Field, n: int) -> Matri
 
 def random_monomial_matrix(rng: random.Random, field: Field, n: int) -> Matrix:
     m = random_permutation_matrix(rng, field, n)
-    rows = [[field.mul(x, field(rng.randrange(1, field.p))) for x in row]
+    rows = [[field(x * rng.randrange(1, field.p)) for x in row]
             for row in m.entries]
     return Matrix.make(field, rows)
 
@@ -386,7 +391,7 @@ def sylvester_complement(h: MatrixTuple, w: Subspace):
                                              tuple(map(tuple, kern))))
         for row, c in zip(red.entries, pivots):
             f = x[c]
-            x = [field.sub(a, field.mul(f, b)) for a, b in zip(x, row)]
+            x = [field.sub(a, field(f * b)) for a, b in zip(x, row)]
     x = x[::-1]
     m = len(nonpiv)
     vecs = []
@@ -394,7 +399,7 @@ def sylvester_complement(h: MatrixTuple, w: Subspace):
         v = [field.zero] * n
         v[j] = field.one
         for b, wb in enumerate(w.basis.entries):
-            v = [field.add(a, field.mul(x[b * m + jj], c)) for a, c in zip(v, wb)]
+            v = [field.add(a, field(x[b * m + jj] * c)) for a, c in zip(v, wb)]
         vecs.append(v)
     return Subspace.from_vectors(field, n, vecs)
 

@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 from gcr.cli import main
+from gcr.cochar import Cocharacter
 from gcr.jobs import RequestError, parse_request, run
+from gcr.linalg import GF, QQ, Matrix
 from gcr.selftest import default_cases, run_cases
 
 
@@ -37,7 +39,7 @@ def test_parse_valid_limit():
     req = parse_request(json.dumps(LIMIT_JOB))
     assert req.command == "limit"
     assert req.field.p == 2
-    assert req.exponents == (1, -1)
+    assert req.cocharacter == Cocharacter((1, -1))
 
 
 def test_parse_nonprime_modulus():
@@ -346,6 +348,115 @@ def test_run_limit_tuple_job():
                                 [["2", "0"], ["0", "3"]]]
 
 
+def _pattern_limit(exps, x):
+    """lim a->0 of diag(a^e) x diag(a^e)^-1 by its entry pattern: None when
+    an entry with e[i] < e[j] is nonzero, else x with every entry at
+    e[i] > e[j] zeroed."""
+    n = x.rows
+    if any(x.entries[i][j] for i in range(n) for j in range(n)
+           if exps[i] < exps[j]):
+        return None
+    return Matrix(x.field, n, n, tuple(
+        tuple(x.field.zero if exps[i] > exps[j] else x.entries[i][j]
+              for j in range(n)) for i in range(n)))
+
+
+def _conjugated_limit(exps, g, x):
+    """g lim(g^-1 x g) g^-1, computed here from the entry pattern."""
+    gi = g.inverse()
+    lim = _pattern_limit(exps, gi * x * g)
+    return None if lim is None else g * lim * gi
+
+
+@pytest.mark.parametrize("field, lam, g, core", [
+    pytest.param(GF(5), [1, 0], [[1, 2], [3, 4]],
+                 [[[2, 3], [0, 4]], [[1, 1], [0, 1]]], id="GF5"),
+    pytest.param(QQ, [1, 1, 0], [[1, 0, 2], [1, 1, 0], [0, -1, 1]],
+                 [[[2, 0, 5], [0, 3, "1/2"], [0, 0, 1]],
+                  [[1, "-1/3", 1], [4, 1, -1], [0, 0, "1/2"]]], id="QQ"),
+])
+def test_cli_limit_with_conjugator(field, lam, g, core):
+    """The limit under g diag(a^lam) g^-1 of x = g c g^-1, for c in P of
+    the diagonal cocharacter, is g lim(c) g^-1, in both request forms; a
+    tuple with one component outside the conjugated P has no limit."""
+    g = Matrix.make(field, g)
+    xs = [g * Matrix.make(field, c) * g.inverse() for c in core]
+    field_doc = ({"kind": "rationals"} if field.p is None
+                 else {"kind": "prime_field", "p": field.p})
+    base = {"command": "limit", "field": field_doc, "lambda": lam,
+            "conjugator": [[str(v) for v in row] for row in g.entries]}
+
+    def send(**body):
+        code, out, err = run_cli(["limit"], json.dumps(dict(base, **body)))
+        assert code == 0 and err == ""
+        return json.loads(out)
+
+    for x in xs:
+        report = send(matrix=[[str(v) for v in row] for row in x.entries])
+        want = _conjugated_limit(lam, g, x)
+        assert want is not None and want != x
+        assert report["exists"] is True
+        assert Matrix.make(field, report["limit"]) == want
+    report = send(matrices=[[[str(v) for v in row] for row in x.entries]
+                            for x in xs])
+    assert [Matrix.make(field, m) for m in report["limits"]] == \
+        [_conjugated_limit(lam, g, x) for x in xs]
+    # the transpose of the first generator's core leaves P
+    bad = g * Matrix.make(field, core[0]).transpose() * g.inverse()
+    assert _conjugated_limit(lam, g, bad) is None
+    report = send(matrices=[[[str(v) for v in row] for row in x.entries]
+                            for x in (xs[0], bad)])
+    assert report == dict(report, exists=False, limits=None)
+
+
+def test_cli_limit_conjugator_refusals():
+    doc = {"command": "limit", "field": {"kind": "prime_field", "p": 5},
+           "lambda": [1, 0], "conjugator": [["1", "2"], ["2", "4"]],
+           "matrix": [["1", "0"], ["0", "1"]]}
+    code, out, err = run_cli(["limit"], json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert err == "error: $.conjugator: conjugator not invertible\n"
+
+    doc["conjugator"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    code, out, err = run_cli(["limit"], json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert err == "error: $.conjugator: expected a square 2x2 matrix\n"
+
+
+def test_jobs_invert_a_conjugator_once(monkeypatch):
+    """A limit job's conjugator and a witness's adapted basis are inverted
+    once, when their cocharacter is built, and never re-checked."""
+    seen = []
+    for name in ("inverse", "is_invertible"):
+        real = getattr(Matrix, name)
+
+        def counted(self, real=real, name=name):
+            seen.append((name, self))
+            return real(self)
+
+        monkeypatch.setattr(Matrix, name, counted)
+
+    field = GF(5)
+    doc = {"command": "limit", "field": {"kind": "prime_field", "p": 5},
+           "lambda": [1, 0], "conjugator": [["1", "2"], ["3", "4"]],
+           "matrices": [[["0", "4"], ["3", "1"]], [["1", "0"], ["0", "1"]],
+                        [["3", "3"], ["2", "3"]]]}
+    assert run(parse_request(doc))["exists"] is True
+    g = Matrix.make(field, doc["conjugator"])
+    assert [name for name, m in seen if m == g] == ["inverse"]
+
+    del seen[:]
+    doc = {"command": "witness", "field": {"kind": "prime_field", "p": 7},
+           "matrices": [[["2", "0", "0"], ["1", "3", "0"], ["4", "5", "6"]],
+                        [["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]]]}
+    report = run(parse_request(doc))
+    conj = report["witness"]["cocharacter"]["conjugator"]
+    assert conj is not None
+    assert report["destabilising_cocharacter"]["conjugator"] == conj
+    g = Matrix.make(GF(7), conj)
+    assert [name for name, m in seen if m == g] == ["inverse"]
+
+
 def test_run_semisimplify_certificate():
     doc = {"command": "semisimplify", "field": {"kind": "rationals"},
            "matrices": [[["1", "1"], ["0", "1"]]]}
@@ -353,8 +464,7 @@ def test_run_semisimplify_certificate():
     assert report["limits"] == [[["1", "0"], ["0", "1"]]]
     assert report["cocharacter"] == {"exponents": [1, 0], "conjugator": None}
     # certificate: the reported limit is fixed by the reported cocharacter
-    from gcr.cochar import Cocharacter, limit_conj
-    from gcr.linalg import QQ, Matrix
+    from gcr.cochar import limit_conj
     lam = Cocharacter(tuple(report["cocharacter"]["exponents"]))
     lim = Matrix.make(QQ, report["limits"][0])
     assert limit_conj(lam, lim) == lim

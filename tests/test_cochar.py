@@ -4,6 +4,8 @@ import pytest
 
 from gcr.cochar import (Cocharacter, cocharacter_from_flag, limit_conj,
                         limit_tuple, pairing, parabolic_of)
+from gcr.engine import ru_conjugator
+from gcr.instability import mu_conjugated, support_of_tuple
 from gcr.linalg import GF, QQ, Matrix, MatrixTuple, Subspace
 
 from helpers import enumerate_gl, to_matrix
@@ -224,10 +226,76 @@ def test_limit_tuple_examples():
 def test_cocharacter_validation():
     with pytest.raises(ValueError):
         Cocharacter(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conjugator not invertible"):
         Cocharacter((1, 0), mat(QQ, [[1, 0], [0, 0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conjugator dimension mismatch"):
         Cocharacter((1, 0), Matrix.identity(QQ, 3))
+    with pytest.raises(ValueError, match="conjugator dimension mismatch"):
+        Cocharacter((1, 0), mat(QQ, [[1, 0, 0], [0, 1, 0]]))
+
+
+def test_core_and_uncore():
+    field = QQ
+    g = mat(field, [[1, 2], [3, 7]])
+    x = mat(field, [[1, 1], [0, 2]])
+    lam = Cocharacter((1, 0), g)
+    assert lam.core(x) == g.inverse() * x * g
+    assert lam.uncore(lam.core(x)) == x
+    diag = Cocharacter((1, 0))
+    assert diag.core(x) is x and diag.uncore(x) is x
+    # the kept inverse is not a field: equality, hash and repr ignore it
+    same = Cocharacter((1, 0), mat(field, [[1, 2], [3, 7]]))
+    assert same == lam and hash(same) == hash(lam) and repr(same) == repr(lam)
+    assert "_inverse" not in repr(lam)
+
+
+def test_with_exponents_keeps_the_torus():
+    field = GF(5)
+    g = mat(field, [[1, 2], [3, 4]])
+    lam = Cocharacter((1, 0), g)
+    moved = lam.with_exponents([3, -1])
+    assert moved == Cocharacter((3, -1), g)
+    x = mat(field, [[1, 1], [2, 3]])
+    assert moved.core(x) == lam.core(x)
+    with pytest.raises(ValueError, match="length mismatch"):
+        lam.with_exponents((1, 0, 0))
+
+
+def test_conjugator_checked_once(monkeypatch):
+    """g is inverted once, when the cocharacter is built: limits, supports,
+    mu and the R_u conjugator reuse that inverse and never re-check g."""
+    field = GF(5)
+    g = mat(field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    # in the core basis, diagonal generators conjugated by an upper
+    # unitriangular v: the limit is the diagonal tuple, in the orbit
+    v = mat(field, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+    core = [v * mat(field, [[a, 0, 0], [0, b, 0], [0, 0, c]]) * v.inverse()
+            for a, b, c in ((1, 2, 3), (4, 1, 2), (2, 2, 1))]
+    gi = g.inverse()
+    h = MatrixTuple.make(field, [g * c * gi for c in core])
+
+    calls = []
+    for name in ("inverse", "is_invertible"):
+        real = getattr(Matrix, name)
+
+        def counted(self, real=real, name=name):
+            if self == g:
+                calls.append(name)
+            return real(self)
+
+        monkeypatch.setattr(Matrix, name, counted)
+
+    lam = Cocharacter((2, 1, 0), g)
+    assert calls == ["inverse"]
+    del calls[:]
+    lim = limit_tuple(lam, h)
+    assert lim is not None and len(lim) == 3
+    assert support_of_tuple(h, lam) == support_of_tuple(
+        MatrixTuple.make(field, core))
+    assert mu_conjugated(h, lam) == 0
+    u = ru_conjugator(h, lam)
+    assert calls == []
+    assert u is not None and all(u * c * u.inverse() == lc for c, lc in zip(h, lim))
 
 
 def test_flag_cochar_coordinate_line():

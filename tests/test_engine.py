@@ -386,7 +386,7 @@ def _action_oracle(acts, w, u):
             image = [field.zero] * n
             for i in range(n):
                 for j in range(n):
-                    image[i] = field.add(image[i], field.mul(a.entries[i][j], b[j]))
+                    image[i] = field.add(image[i], field(a.entries[i][j] * b[j]))
             aug = Matrix(field, n, len(gens) + 1,
                          tuple(tuple(v[i] for v in gens) + (image[i],)
                                for i in range(n)))
@@ -920,24 +920,27 @@ def test_witness_search_cr_none():
     assert tuple_witness_search(tup(field, mat(field, [[1, 0], [0, 2]]))) is None
 
 
+def _assert_destabilises(h, wit, lam):
+    """lam is the witness's cocharacter reweighted: same conjugator,
+    exponents constant on each flag block; it pairs >= 0 with the whole
+    tuple support and its limit exists and leaves the orbit."""
+    assert lam.conjugator == wit.cochar.conjugator
+    dims = [0] + [sub.dim for sub in wit.flag]
+    assert all(len(set(lam.exponents[a:b])) == 1 for a, b in zip(dims, dims[1:]))
+    assert mu(support_of_tuple(h, lam), lam.exponents) >= 0
+    lim = limit_tuple(lam, h)
+    assert lim is not None
+    assert not tuples_conjugate(h.field.p, raw_tuple(h), raw_tuple(lim))
+
+
 def test_witness_search_e13():
     h = e13_tuple(GF(2))
     found = tuple_witness_search(h)
     assert found is not None
-    wit, rep = found
+    wit, rep, lam = found
     assert verify_witness(h, wit)
     assert not rep.semistable and rep.mu_opt > 0
-    # the reported cocharacter pairs >= 0 with the whole tuple support and
-    # its limit leaves the orbit
-    from gcr.engine import lift_block_exponents
-    sizes = composition_series(h).factor_dims
-    lifted = lift_block_exponents(rep.lam_opt, sizes)
-    lam = Cocharacter(lifted, wit.cochar.conjugator)
-    sup = support_of_tuple(h, wit.cochar.conjugator)
-    assert mu(sup, lifted) >= 0
-    lim = limit_tuple(lam, h)
-    assert lim is not None
-    assert not tuples_conjugate(2, raw_tuple(h), raw_tuple(lim))
+    _assert_destabilises(h, wit, lam)
 
 
 def test_witness_search_adjoint_f2_none():
@@ -946,7 +949,6 @@ def test_witness_search_adjoint_f2_none():
 
 
 def test_witness_search_random_consistency():
-    from gcr.engine import lift_block_exponents
     rng = random.Random(61)
     for _ in range(15):
         h = random_gl_tuple(rng, 2, 3, 1)
@@ -954,17 +956,9 @@ def test_witness_search_random_consistency():
         assert (found is None) == is_completely_reducible(h)[0]
         if found is None:
             continue
-        wit, rep = found
+        wit, rep, lam = found
         assert verify_witness(h, wit)
-        # reported cocharacter destabilises: nonnegative on the whole
-        # support, with an existing limit that leaves the orbit
-        sizes = composition_series(h).factor_dims
-        lifted = lift_block_exponents(rep.lam_opt, sizes)
-        lam = Cocharacter(lifted, wit.cochar.conjugator)
-        assert mu(support_of_tuple(h, wit.cochar.conjugator), lifted) >= 0
-        lim = limit_tuple(lam, h)
-        assert lim is not None
-        assert not tuples_conjugate(2, raw_tuple(h), raw_tuple(lim))
+        _assert_destabilises(h, wit, lam)
 
 
 # -- criterion consistency at desk scale --------------------------------------

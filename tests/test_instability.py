@@ -41,7 +41,17 @@ def test_support_examples():
     assert support_of_tuple(h).weights == ((0, 0), (1, -1))
 
     hid = tup(field, Matrix.identity(field, 2))
-    assert support_of_tuple(hid, mat(field, [[1, 2], [3, 7]])).weights == ((0, 0),)
+    lam = Cocharacter((1, 0), mat(field, [[1, 2], [3, 7]]))
+    assert support_of_tuple(hid, lam).weights == ((0, 0),)
+    with pytest.raises(ValueError, match="field mismatch"):
+        support_of_tuple(hid, Cocharacter((1, 0), mat(GF(5), [[1, 2], [3, 4]])))
+    # a cocharacter of GL_3 on a tuple of GL_2, diagonal or conjugated
+    for lam in (Cocharacter((1, 0, 0)),
+                Cocharacter((1, 0, 0), Matrix.identity(field, 3))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            support_of_tuple(hid, lam)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mu_conjugated(hid, lam)
 
     hswap = tup(field, mat(field, [[0, 1], [1, 0]]))
     assert support_of_tuple(hswap).weights == ((-1, 1), (1, -1))

@@ -51,7 +51,7 @@ JORDAN_GF2 = MatrixTuple.make(GF(2), [[[1, 1], [0, 1]]])
     pytest.param(lambda: optimal_cocharacter(WeightSet.of([(1, 0), (0, 1)])),
                  "lam_opt", None, None, id="InstabilityReport"),
     pytest.param(lambda: JobRequest("limit", QQ, matrix=mat(QQ, [[1, 1], [0, 1]]),
-                                    exponents=(1, -1)),
+                                    cocharacter=Cocharacter((1, -1))),
                  "budget", None, None, id="JobRequest"),
     pytest.param(lambda: composition_series(JORDAN_GF2), "series", None, None,
                  id="ModuleDecomposition"),
@@ -403,7 +403,7 @@ def test_kernel_agrees_with_gauss_jordan_oracle():
                 want = list(v)
                 for row, pc in zip(red.entries, piv):
                     c = v[pc]
-                    want = [field.sub(a, field.mul(c, b))
+                    want = [field.sub(a, field(c * b))
                             for a, b in zip(want, row)]
                 assert sub.reduce(v) == tuple(want)
                 inside = _oracle_span(field, list(red.entries[:rank]) + [v], n)
