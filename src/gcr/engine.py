@@ -18,8 +18,8 @@ import functools
 import itertools
 from typing import Optional, Sequence
 
-from .cochar import (Cocharacter, cocharacter_from_flag, limit_tuple,
-                     parabolic_of)
+from .cochar import (Cocharacter, _limit_diagonal, cocharacter_from_flag,
+                     limit_tuple, parabolic_of)
 from .instability import WeightSet, optimal_cocharacter, support_of_tuple
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, Frozen, Matrix,
                      MatrixTuple, Subspace, commutant, kernel_basis,
@@ -341,13 +341,14 @@ def ru_conjugator(h: MatrixTuple, lam: Cocharacter) -> Optional[Matrix]:
     zero) is the lexicographically least u over F_p, and canonical over Q.
     """
     field, n = h.field, h.dim
-    lim = limit_tuple(lam, h)  # raises on a dimension mismatch
-    if lim is None:
-        raise ValueError("limit does not exist")
-
+    if lam.n != n:
+        raise ValueError("dimension mismatch")
     pairs, rhs = [], []
-    for c, lc in zip(h.components, lim.components):
-        c0, l0 = lam.core(c), lam.core(lc)
+    for c in h.components:
+        c0 = lam.core(c)
+        l0 = _limit_diagonal(lam.exponents, c0)
+        if l0 is None:
+            raise ValueError("limit does not exist")
         pairs.append((l0, c0))
         rhs.extend(x for row in (c0 - l0).entries for x in row)
     cols = [i * n + j for i, j in
@@ -362,7 +363,8 @@ def ru_conjugator(h: MatrixTuple, lam: Cocharacter) -> Optional[Matrix]:
               for j in range(n)) for i in range(n)))
     u = lam.uncore(u0)
     ui = u.inverse()
-    if not all(u * c * ui == lc for c, lc in zip(h.components, lim.components)):
+    if not all(u * c * ui == lam.uncore(l0)
+               for c, (l0, _) in zip(h.components, pairs)):
         raise AssertionError("conjugated tuple is not the limit")
     return u
 

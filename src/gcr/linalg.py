@@ -4,12 +4,19 @@ Scalars are `fractions.Fraction` over the rationals and plain ints in
 [0, p) over F_p.  No floating point is used anywhere: instability values
 downstream must compare exactly.  All values are immutable and every
 operation is a pure function.
+
+A span does not change when its vectors are rescaled, so `spin` over Q runs
+on primitive integer vectors, fraction-free, and builds the `Fraction` RREF
+once at the end.  `rref` and `Subspace` keep the `Fraction` branch of the
+elimination kernel (`_reduce`, `_insert`) until the benchmark stops holding
+every report in memory (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 import operator
 from collections import deque
 from fractions import Fraction
@@ -291,6 +298,14 @@ class Matrix(Frozen):
             raise ValueError("matrix not invertible")
         return Matrix(self.field, n, n, tuple(r[n:] for r in red.entries))
 
+    @functools.cached_property
+    def _integral(self) -> tuple:
+        """Over Q: the rows of l * self as ints, l the lcm of the entries'
+        denominators (a nonzero multiple, with the same invariant subspaces)."""
+        l = math.lcm(*(x.denominator for row in self.entries for x in row))
+        return tuple(tuple(x.numerator * (l // x.denominator) for x in row)
+                     for row in self.entries)
+
 
 def _reduce(p, v, rows) -> list:
     """Residual of v against echelon rows, given as (pivot, row) pairs with
@@ -330,6 +345,42 @@ def _insert(p, v, rows):
         row = tuple(x * inv % p for x in v)
     bisect.insort(rows, (pc, row))
     return row
+
+
+def _primitive(v) -> list:
+    """The primitive integer vector on the line of a rational vector v (v
+    itself when zero)."""
+    l = math.lcm(*(x.denominator for x in v))
+    v = [x.numerator * (l // x.denominator) for x in v]
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _insert_int(v, rows):
+    """_insert over Q on integer vectors, fraction-free: reduce v by
+    v <- d v - c row against primitive echelon rows (d the row's pivot entry,
+    c v's entry there) and insert the residual divided by its content.
+    Returns the inserted row, or None when v already lies in their span."""
+    for pc, row in rows:
+        c = v[pc]
+        if c:
+            d = row[pc]
+            g = math.gcd(c, d)
+            c, d = c // g, d // g
+            v = [d * a - c * b for a, b in zip(v, row)]
+    pc = next((i for i, x in enumerate(v) if x), None)
+    if pc is None:
+        return None
+    g = math.gcd(*v)
+    row = tuple(x // g for x in v)
+    bisect.insort(rows, (pc, row))
+    return row
+
+
+def _apply_int(rows, v) -> tuple:
+    """Integer matrix rows times integer column vector v."""
+    nz = [(j, y) for j, y in enumerate(v) if y]
+    return tuple(sum(row[j] * y for j, y in nz) for row in rows)
 
 
 def _clear_above(p, rows) -> list:
@@ -552,7 +603,9 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
     """Smallest subspace containing the seeds and stable under every generator.
 
     Seeds and generators are processed in input order, breadth first, so the
-    output is deterministic; the result is canonical RREF anyway.
+    output is deterministic; the result is canonical RREF anyway.  Over Q the
+    seeds are primitive integer vectors and the generators integer multiples
+    (Matrix._integral), since rescaling changes no span.
     """
     mats = list(gens)
     field, n = _generators_shape(mats)
@@ -562,13 +615,29 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
     for s in seeds:
         if len(s) != n:
             raise ValueError("dimension mismatch")
+    if field.p is None:
+        seeds = [_primitive(s) for s in seeds]
+        maps = [functools.partial(_apply_int, m._integral) for m in mats]
+        insert = _insert_int
+    else:
+        maps = [m.apply for m in mats]
+        insert = functools.partial(_insert, field.p)
     rows: list = []
     queue = deque(seeds)
     while queue:
-        row = _insert(field.p, queue.popleft(), rows)
+        row = insert(queue.popleft(), rows)
         if row is not None:
-            queue.extend(a.apply(row) for a in mats)
-    return Subspace._from_echelon(field, n, rows)
+            queue.extend(f(row) for f in maps)
+    if field.p is not None:
+        return Subspace._from_echelon(field, n, rows)
+    # the unique RREF: clear above the pivots in integers (each row, last
+    # first, inserted among the already reduced rows below it), then divide
+    # each row by its pivot
+    reduced: list = []
+    for _, row in reversed(rows):
+        _insert_int(row, reduced)
+    return Subspace(n, Matrix(field, len(reduced), n, tuple(
+        tuple(Fraction(x, row[pc]) for x in row) for pc, row in reduced)))
 
 
 def sylvester_rows(pairs) -> list:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
-from gcr.linalg import (Field, GF, Matrix, MatrixTuple, Subspace, kernel_basis,
-                        solve_affine, span_basis)
+from gcr.linalg import (Field, GF, Matrix, MatrixTuple, Subspace, _insert,
+                        kernel_basis, solve_affine, span_basis)
 
 
 # -- raw matrices over F_p ---------------------------------------------------
@@ -460,3 +461,19 @@ def enumerate_normal_closure(h: MatrixTuple, indices):
 
 def _entry_key(m: Matrix):
     return tuple(x for row in m.entries for x in row)
+
+
+# -- spin oracle ---------------------------------------------------------------
+
+def fraction_spin(seeds, gens) -> Subspace:
+    """The breadth-first spin in plain field arithmetic (Fractions over Q):
+    each seed, then each image of an inserted row, is inserted into the
+    echelon rows.  Test oracle for linalg.spin's integer path over Q."""
+    field = gens[0].field
+    rows: list = []
+    queue = deque(tuple(field(x) for x in s) for s in seeds)
+    while queue:
+        row = _insert(field.p, queue.popleft(), rows)
+        if row is not None:
+            queue.extend(a.apply(row) for a in gens)
+    return Subspace._from_echelon(field, gens[0].rows, rows)

@@ -298,6 +298,33 @@ def test_conjugator_checked_once(monkeypatch):
     assert u is not None and all(u * c * u.inverse() == lc for c, lc in zip(h, lim))
 
 
+def test_ru_conjugator_changes_basis_once_per_component(monkeypatch):
+    """ru_conjugator takes each component into the core basis once and
+    brings back u and each limit once, for the check in the original basis
+    (the diagonal core's own core and uncore are the identity)."""
+    field = GF(5)
+    g = mat(field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    v = mat(field, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+    core = [v * mat(field, [[a, 0, 0], [0, b, 0], [0, 0, c]]) * v.inverse()
+            for a, b, c in ((1, 2, 3), (4, 1, 2), (2, 2, 1))]
+    h = MatrixTuple.make(field, [g * c * g.inverse() for c in core])
+    lam = Cocharacter((2, 1, 0), g)
+    want = ru_conjugator(h, lam)
+
+    calls = []
+    for name in ("core", "uncore"):
+        real = getattr(Cocharacter, name)
+
+        def counted(self, x, real=real, name=name):
+            if not self.is_diagonal:
+                calls.append(name)
+            return real(self, x)
+
+        monkeypatch.setattr(Cocharacter, name, counted)
+    assert ru_conjugator(h, lam) == want is not None
+    assert (calls.count("core"), calls.count("uncore")) == (3, 4)
+
+
 def test_flag_cochar_coordinate_line():
     field = QQ
     flag = [Subspace.from_vectors(field, 2, [(1, 0)]), Subspace.full(field, 2)]

@@ -552,8 +552,8 @@ def test_orbit_closed_matches_criterion():
 HIDDEN_FLAG = pytest.mark.xfail(
     strict=True,
     reason="known wrong verdict (ROADMAP item 1): over Q, or over F_p with "
-           "p^3 > 2^16, the minimal-invariant search seeds spin only with "
-           "basis rows and misses the hidden flag")
+           "p^d > 2^16 in dimension d, the minimal-invariant search seeds "
+           "spin only with basis rows and misses the hidden flag")
 
 
 @pytest.mark.parametrize("field", [
@@ -570,6 +570,21 @@ def test_cr_hidden_flag_jordan_block(field):
     j = mat(field, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
     cr, decomp, _ = is_completely_reducible(tup(field, g * j * g.inverse()))
     assert (cr, [v.dim for v in decomp.series]) == (False, [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(QQ, marks=HIDDEN_FLAG, id="QQ"),
+    pytest.param(GF(65537), marks=HIDDEN_FLAG, id="GF65537"),
+    pytest.param(GF(257), marks=HIDDEN_FLAG, id="GF257"),
+    pytest.param(GF(251), id="GF251"),
+    pytest.param(GF(7), id="GF7"),
+])
+def test_cr_hidden_flag_unipotent_2x2(field):
+    # h is unipotent, (h - 1)^2 = 0, with the fixed line (1, -1) on neither
+    # axis; the search misses it once p^2 > 2^16
+    h = tup(field, mat(field, [[2, 1], [-1, 0]]))
+    cr, decomp, _ = is_completely_reducible(h)
+    assert (cr, [v.dim for v in decomp.series]) == (False, [0, 1, 2])
 
 
 # -- semisimplification ------------------------------------------------------
@@ -709,6 +724,16 @@ def test_ru_conjugator_block_diagonal_identity():
 def test_ru_conjugator_jordan_absent():
     h = jordan2(GF(2))
     assert ru_conjugator(h, Cocharacter((1, 0))) is None
+
+
+def test_ru_conjugator_refusals():
+    h = jordan2(QQ)
+    with pytest.raises(ValueError, match="limit does not exist"):
+        ru_conjugator(h, Cocharacter((0, 1)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ru_conjugator(h, Cocharacter((1, 0, 0)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ru_conjugator(h, Cocharacter((1, 0, 0), Matrix.identity(QQ, 3)))
 
 
 def test_ru_conjugator_finds_witness():

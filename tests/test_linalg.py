@@ -12,7 +12,7 @@ from gcr.linalg import (GF, QQ, Field, Matrix, MatrixTuple, Subspace,
                         commutant, kernel_basis, rref, solve_affine,
                         span_basis, spin, sylvester_rows)
 
-from helpers import gauss_jordan, intersect, random_invertible
+from helpers import fraction_spin, gauss_jordan, intersect, random_invertible
 
 
 def mat(field, rows):
@@ -38,6 +38,8 @@ JORDAN_GF2 = MatrixTuple.make(GF(2), [[[1, 1], [0, 1]]])
     pytest.param(lambda: Field(), "p", "QQ", None, id="Field-QQ"),
     pytest.param(lambda: mat(GF(5), [[1, 2], [3, 4]]), "entries", None, None,
                  id="Matrix"),
+    pytest.param(lambda: mat(QQ, [["1/2", 3], [4, "-2/3"]]), "entries", None,
+                 "_integral", id="Matrix-QQ"),
     pytest.param(lambda: Subspace.from_vectors(GF(5), 3, [(0, 2, 4), (1, 0, 0)]),
                  "basis", None, "pivots", id="Subspace"),
     pytest.param(lambda: MatrixTuple.make(QQ, [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]),
@@ -218,6 +220,43 @@ def test_spin_stability_and_minimality():
         for g in gens:
             for row in s.basis.entries:
                 assert s.contains(g.apply(row))
+
+
+def test_spin_over_q_matches_fraction_spin():
+    # over Q spin runs fraction-free on primitive integer vectors; it must
+    # give the same Subspace as the breadth-first spin in Fractions, on
+    # generators with denominators (conjugates g t g^-1 of upper triangular
+    # t, so g's leading columns span invariant subspaces), on seeds scaled by
+    # rationals of either sign and on zero seeds, up to n = 12
+    rng = random.Random(26)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    kinds = set()
+    for n in range(1, 13):
+        while True:
+            g = mat(QQ, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            if g.is_invertible():
+                break
+        gi = g.inverse()
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            t = mat(QQ, [[rational() if j >= i else 0
+                          for j in range(n)] for i in range(n)])
+            gens.append(g * t * gi)
+        cols = g.transpose().entries
+        zero = (0,) * n
+        for seeds in ([cols[0]], [cols[rng.randrange(n)], cols[rng.randrange(n)]],
+                      [zero], [zero, cols[-1]],
+                      [[rng.randint(-2, 2) for _ in range(n)]]):
+            scaled = [[c * x for x in s] for c, s in
+                      zip((rational() for _ in seeds), seeds)]
+            want = fraction_spin(scaled, gens)
+            assert spin(scaled, gens) == want, (n, seeds)
+            kinds.add("zero" if want.is_zero else "full" if want.is_full
+                      else "proper")
+    assert kinds == {"zero", "proper", "full"}
 
 
 def test_sylvester_rows_apply_the_map():
