@@ -5,11 +5,12 @@ Scalars are `fractions.Fraction` over the rationals and plain ints in
 downstream must compare exactly.  All values are immutable and every
 operation is a pure function.
 
-A span does not change when its vectors are rescaled, so `spin` over Q runs
-on primitive integer vectors, fraction-free, and builds the `Fraction` RREF
-once at the end.  `rref` and `Subspace` keep the `Fraction` branch of the
-elimination kernel (`_reduce`, `_insert`) until the benchmark stops holding
-every report in memory (ROADMAP item 2).
+Elimination has one path per field kind.  Over F_p it inserts rows scaled
+to 1 at their pivots (`_insert`, `_clear_above`).  A span does not change
+when its vectors are rescaled, so over Q it inserts primitive integer
+vectors fraction-free (`_primitive`, `_insert_int`) and builds the unique
+`Fraction` RREF once, at the end (`_rref_int`); `rref`, `Subspace.extend`,
+`span_basis` and `spin` all take this path.
 """
 
 from __future__ import annotations
@@ -160,9 +161,6 @@ class Field(Frozen):
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
@@ -330,19 +328,15 @@ def _reduce(p, v, rows) -> list:
 
 
 def _insert(p, v, rows):
-    """Reduce v against the echelon rows and insert the nonzero residual,
-    scaled to 1 at its pivot, in pivot order.  Returns the inserted row, or
-    None when v already lies in their span."""
+    """Over F_p: reduce v against the echelon rows and insert the nonzero
+    residual, scaled to 1 at its pivot, in pivot order.  Returns the inserted
+    row, or None when v already lies in their span."""
     v = _reduce(p, v, rows)
     pc = next((i for i, x in enumerate(v) if x), None)
     if pc is None:
         return None
-    if p is None:
-        inv = 1 / Fraction(v[pc])
-        row = tuple(x * inv for x in v)
-    else:
-        inv = pow(v[pc], -1, p)
-        row = tuple(x * inv % p for x in v)
+    inv = pow(v[pc], -1, p)
+    row = tuple(x * inv % p for x in v)
     bisect.insort(rows, (pc, row))
     return row
 
@@ -384,14 +378,40 @@ def _apply_int(rows, v) -> tuple:
 
 
 def _clear_above(p, rows) -> list:
-    """The reduced echelon rows spanning the same space as echelon rows:
-    each row, last first, is reduced against the already reduced rows below
-    it."""
+    """Over F_p: the reduced echelon rows spanning the same space as echelon
+    rows: each row, last first, is reduced against the already reduced rows
+    below it."""
     out = []
     for pc, row in reversed(rows):
         out.append((pc, tuple(_reduce(p, row, out))))
     out.reverse()
     return out
+
+
+def _rref_int(rows) -> list:
+    """Over Q: the unique RREF, as (pivot, Fraction row) pairs, of the span
+    of primitive integer echelon rows.  Clears above the pivots in integers
+    (each row, last first, inserted among the already reduced rows below
+    it), then divides each row by its pivot."""
+    reduced: list = []
+    for _, row in reversed(rows):
+        _insert_int(row, reduced)
+    return [(pc, tuple(Fraction(x, row[pc]) for x in row)) for pc, row in reduced]
+
+
+def _rref_rows(field: Field, vectors, rows=()) -> list:
+    """The unique RREF, as (pivot, row) pairs, of the span of the vectors
+    and of the RREF pairs rows."""
+    p = field.p
+    if p is not None:
+        rows = list(rows)
+        for v in vectors:
+            _insert(p, v, rows)
+        return _clear_above(p, rows)
+    rows = [(pc, tuple(_primitive(row))) for pc, row in rows]
+    for v in vectors:
+        _insert_int(_primitive(v), rows)
+    return _rref_int(rows)
 
 
 def rref(m: Matrix):
@@ -401,11 +421,7 @@ def rref(m: Matrix):
     RREF, with pivots 1 and pivot columns cleared above and below, padded
     with zero rows to the shape of m.
     """
-    p = m.field.p
-    rows: list = []
-    for r in m.entries:
-        _insert(p, r, rows)
-    rows = _clear_above(p, rows)
+    rows = _rref_rows(m.field, m.entries)
     rank = len(rows)
     zero = (m.field.zero,) * m.cols
     red = Matrix(m.field, m.rows, m.cols,
@@ -416,12 +432,17 @@ def rref(m: Matrix):
 def _kernel_from_rref(field: Field, red_entries, pivots, cols: int):
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
+    p, zero, one = field.p, field.zero, field.one
     basis = []
     for fc in free:
-        v = [field.zero] * cols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red_entries[i][fc])
+        v = [zero] * cols
+        v[fc] = one
+        if p is None:
+            for i, pc in enumerate(pivots):
+                v[pc] = -red_entries[i][fc]
+        else:
+            for i, pc in enumerate(pivots):
+                v[pc] = -red_entries[i][fc] % p
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -480,9 +501,8 @@ class Subspace(Frozen):
         return Subspace(ambient, Matrix.identity(field, ambient))
 
     @staticmethod
-    def _from_echelon(field: Field, ambient: int, rows: list) -> "Subspace":
-        """The span of echelon (pivot, row) pairs in pivot order."""
-        rows = _clear_above(field.p, rows)
+    def _from_rref(field: Field, ambient: int, rows: list) -> "Subspace":
+        """The span of RREF (pivot, row) pairs in pivot order."""
         return Subspace(ambient, Matrix(field, len(rows), ambient,
                                         tuple(row for _, row in rows)))
 
@@ -528,13 +548,11 @@ class Subspace(Frozen):
     def extend(self, vectors: Iterable[Sequence]) -> "Subspace":
         """The span of this subspace and the vectors."""
         f = self.field
-        rows = list(self._pairs)
-        for v in vectors:
-            v = [f(x) for x in v]
-            if len(v) != self.ambient:
-                raise ValueError("dimension mismatch")
-            _insert(f.p, v, rows)
-        return Subspace._from_echelon(f, self.ambient, rows)
+        vectors = [[f(x) for x in v] for v in vectors]
+        if any(len(v) != self.ambient for v in vectors):
+            raise ValueError("dimension mismatch")
+        return Subspace._from_rref(f, self.ambient,
+                                   _rref_rows(f, vectors, self._pairs))
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient or self.field != other.field:
@@ -588,13 +606,18 @@ def span_basis(mats: Sequence[Matrix]) -> list:
     """First members of mats, in order, that enlarge the linear span.
 
     Stability and commuting conditions are linear in the acting matrix, so
-    downstream solvers may restrict to such a spanning subset.
+    downstream solvers may restrict to such a spanning subset.  Over Q each
+    member enters as its integer multiple (Matrix._integral).
     """
     mats = list(mats)
     if not mats:
         return []
     p = mats[0].field.p
     rows: list = []
+    if p is None:
+        return [m for m in mats
+                if _insert_int([x for row in m._integral for x in row], rows)
+                is not None]
     return [m for m in mats
             if _insert(p, [x for row in m.entries for x in row], rows) is not None]
 
@@ -628,16 +651,8 @@ def spin(seeds: Sequence[Sequence], gens) -> Subspace:
         row = insert(queue.popleft(), rows)
         if row is not None:
             queue.extend(f(row) for f in maps)
-    if field.p is not None:
-        return Subspace._from_echelon(field, n, rows)
-    # the unique RREF: clear above the pivots in integers (each row, last
-    # first, inserted among the already reduced rows below it), then divide
-    # each row by its pivot
-    reduced: list = []
-    for _, row in reversed(rows):
-        _insert_int(row, reduced)
-    return Subspace(n, Matrix(field, len(reduced), n, tuple(
-        tuple(Fraction(x, row[pc]) for x in row) for pc, row in reduced)))
+    return Subspace._from_rref(field, n, _rref_int(rows) if field.p is None
+                               else _clear_above(field.p, rows))
 
 
 def sylvester_rows(pairs) -> list:
@@ -649,16 +664,19 @@ def sylvester_rows(pairs) -> list:
     """
     rows = []
     for a, c in pairs:
-        f = a.field
+        p, zero = a.field.p, a.field.zero
         d, m = a.rows, c.rows
         ae, ce = a.entries, c.entries
         for b in range(d):
             for j in range(m):
-                row = [f.zero] * (d * m)
+                row = [zero] * (d * m)
                 for k in range(d):
                     row[k * m + j] = ae[b][k]
                 for k in range(m):
-                    row[b * m + k] = f.sub(row[b * m + k], ce[k][j])
+                    row[b * m + k] -= ce[k][j]
+                if p is not None:
+                    for k in range(b * m, b * m + m):
+                        row[k] %= p
                 rows.append(tuple(row))
     return rows
 

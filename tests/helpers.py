@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
-from gcr.linalg import (Field, GF, Matrix, MatrixTuple, Subspace, _insert,
+from gcr.linalg import (Field, GF, Matrix, MatrixTuple, Subspace,
                         kernel_basis, solve_affine, span_basis)
 
 
@@ -120,8 +120,7 @@ def gauss_jordan(m: Matrix):
         for i in range(nr):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                rows[i] = [f.sub(x, f(factor * y))
-                           for x, y in zip(rows[i], rows[r])]
+                rows[i] = [f(x - factor * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -325,7 +324,7 @@ def _projection_solutions(h: MatrixTuple, w: Subspace):
                 row = [zero] * (n * n)
                 for k in range(n):
                     row[i * n + k] = field.add(row[i * n + k], he[k][j])
-                    row[k * n + j] = field.sub(row[k * n + j], he[i][k])
+                    row[k * n + j] = field(row[k * n + j] - he[i][k])
                 rows.append(tuple(row))
                 rhs.append(zero)
     for wrow in w.basis.entries:
@@ -392,7 +391,7 @@ def sylvester_complement(h: MatrixTuple, w: Subspace):
                                              tuple(map(tuple, kern))))
         for row, c in zip(red.entries, pivots):
             f = x[c]
-            x = [field.sub(a, field(f * b)) for a, b in zip(x, row)]
+            x = [field(a - f * b) for a, b in zip(x, row)]
     x = x[::-1]
     m = len(nonpiv)
     vecs = []
@@ -466,14 +465,26 @@ def _entry_key(m: Matrix):
 # -- spin oracle ---------------------------------------------------------------
 
 def fraction_spin(seeds, gens) -> Subspace:
-    """The breadth-first spin in plain field arithmetic (Fractions over Q):
-    each seed, then each image of an inserted row, is inserted into the
-    echelon rows.  Test oracle for linalg.spin's integer path over Q."""
-    field = gens[0].field
-    rows: list = []
+    """The breadth-first spin in textbook field arithmetic (Fractions over
+    Q): each seed, then each image of a kept row, is reduced against the
+    rows kept so far, in the order they were kept, and a nonzero residual
+    is kept, scaled to 1 at its first nonzero entry.  The result is the
+    gauss_jordan RREF of the kept rows.  Test oracle for linalg.spin's
+    integer path over Q; it shares no elimination code with linalg."""
+    field, n = gens[0].field, gens[0].rows
+    kept = []  # (pivot, row), each row 0 at the pivots of the rows before it
     queue = deque(tuple(field(x) for x in s) for s in seeds)
     while queue:
-        row = _insert(field.p, queue.popleft(), rows)
-        if row is not None:
+        v = queue.popleft()
+        for pc, row in kept:
+            c = v[pc]
+            v = tuple(field(a - c * b) for a, b in zip(v, row))
+        pc = next((i for i, x in enumerate(v) if x != 0), None)
+        if pc is not None:
+            inv = _field_inverse(field, v[pc])
+            row = tuple(field(inv * x) for x in v)
+            kept.append((pc, row))
             queue.extend(a.apply(row) for a in gens)
-    return Subspace._from_echelon(field, gens[0].rows, rows)
+    red, _, rank = gauss_jordan(Matrix(field, len(kept), n,
+                                       tuple(row for _, row in kept)))
+    return Subspace(n, Matrix(field, rank, n, red.entries[:rank]))

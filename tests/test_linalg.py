@@ -270,6 +270,7 @@ def test_sylvester_rows_apply_the_map():
             x = rand(d, m)
             rows = sylvester_rows(pairs)
             assert len(rows) == 2 * d * m
+            assert all(field(v) == v for row in rows for v in row)  # canonical
             flat = [v for row in x.entries for v in row]
             got = [field(sum(r * v for r, v in zip(row, flat))) for row in rows]
             want = []
@@ -330,19 +331,36 @@ def test_subspace_sum_intersect():
 
 
 def test_matrix_inverse_round_trip():
+    # over Q with denominators, n = 1..8; the inverse is the right half of
+    # the oracle's RREF of (m | 1)
     rng = random.Random(3)
     for field in (QQ, GF(7)):
-        for _ in range(10):
-            m = random_invertible(rng, field, 3) if field.p else \
-                _random_invertible_qq(rng, 3)
-            assert m * m.inverse() == Matrix.identity(field, 3)
+        for i in range(16):
+            n = 3 if field.p else 1 + i % 8
+            m = random_invertible(rng, field, n) if field.p else \
+                _random_invertible_qq(rng, n)
+            ident = Matrix.identity(field, n)
+            inv = m.inverse()
+            assert m * inv == ident and inv * m == ident
+            red, _, _ = gauss_jordan(Matrix(field, n, 2 * n, tuple(
+                ra + rb for ra, rb in zip(m.entries, ident.entries))))
+            assert inv.entries == tuple(row[n:] for row in red.entries)
+    with pytest.raises(ValueError, match="not invertible"):
+        mat(QQ, [[Fraction(1, 2), Fraction(-1, 3)], [-3, 2]]).inverse()
+
+
+def _rational(rng, bound=4):
+    """A rational with numerator in [-bound, bound] and, half the time, a
+    denominator in 2..6."""
+    den = rng.randint(2, 6) if rng.random() < 0.5 else 1
+    return Fraction(rng.randint(-bound, bound), den)
 
 
 def _random_invertible_qq(rng, n):
     while True:
-        m = Matrix.make(QQ, [[rng.randint(-3, 3) for _ in range(n)]
+        m = Matrix.make(QQ, [[_rational(rng, 3) for _ in range(n)]
                              for _ in range(n)])
-        if m.is_invertible():
+        if gauss_jordan(m)[2] == n:
             return m
 
 
@@ -388,20 +406,31 @@ def test_kernel_basis_spans_kernel():
 
 
 def _oracle_cases(rng, field):
-    """Matrices with no rows, no columns, zero rows, duplicate rows and
-    rank-deficient rows, plus random full ones."""
+    """Matrices with no rows, no columns, zero rows, duplicate rows,
+    rank-deficient rows and rows that are negative (over Q also rational)
+    multiples of other rows, plus random full ones; over Q the entries have
+    denominators, and one case is 12 x 24 of rank 10."""
     def rand(r, c):
         if field.p is None:
-            return [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+            return [[_rational(rng) for _ in range(c)] for _ in range(r)]
         return [[rng.randrange(field.p) for _ in range(c)] for _ in range(r)]
 
+    def combine(cs, rows):
+        return [sum(a * x for a, x in zip(cs, col)) for col in zip(*rows)]
+
     base = rand(3, 5)
-    combos = [[sum(a * x for a, x in zip(cs, col)) for col in zip(*base[:2])]
-              for cs in rand(5, 2)]
+    combos = [combine(cs, base[:2]) for cs in rand(5, 2)]
+    scales = (-1, Fraction(-3, 2), Fraction(5, 7)) if field.p is None else (-1, -2, 3)
+    multiples = ([[scales[0] * x for x in base[1]]] + base
+                 + [[c * x for x in base[0]] for c in scales[1:]])
     cases = [Matrix(field, 0, 4, ()), mat(field, [[], [], []]),
              mat(field, rand(2, 5) + [[0] * 5] + rand(1, 5)),
-             mat(field, base + base[:2]), mat(field, combos),
+             mat(field, base + base[:2]), mat(field, combos), mat(field, multiples),
              mat(field, rand(4, 4)), mat(field, rand(6, 4)), mat(field, rand(3, 7))]
+    if field.p is None:
+        wide = rand(10, 24)
+        cases.append(mat(field, wide[:7] + [combine(rand(1, 10)[0], wide)]
+                         + wide[7:] + [combine(rand(1, 10)[0], wide)]))
     rng.shuffle(cases)
     return cases
 
@@ -412,6 +441,19 @@ def _oracle_span(field, vectors, n):
     return red.entries[:rank]
 
 
+def _oracle_kernel(field, red, piv, cols):
+    """Kernel basis read off the oracle's RREF: one vector per free column
+    among the first cols columns."""
+    kern = []
+    for fc in (c for c in range(cols) if c not in piv):
+        v = [field.zero] * cols
+        v[fc] = field.one
+        for i, pc in enumerate(piv):
+            v[pc] = field.neg(red.entries[i][fc])
+        kern.append(tuple(v))
+    return tuple(kern)
+
+
 def test_kernel_agrees_with_gauss_jordan_oracle():
     rng = random.Random(31)
     for field in (GF(2), GF(7), GF(65537), QQ):
@@ -419,14 +461,7 @@ def test_kernel_agrees_with_gauss_jordan_oracle():
             red, piv, rank = gauss_jordan(m)
             assert rref(m) == (red, piv, rank)
 
-            kern = []
-            for fc in (c for c in range(m.cols) if c not in piv):
-                v = [field.zero] * m.cols
-                v[fc] = field.one
-                for i, pc in enumerate(piv):
-                    v[pc] = field.neg(red.entries[i][fc])
-                kern.append(tuple(v))
-            assert kernel_basis(m) == tuple(kern)
+            assert kernel_basis(m) == _oracle_kernel(field, red, piv, m.cols)
 
             # span_basis keeps a row exactly when it raises the oracle rank
             singles = [Matrix(field, 1, m.cols, (r,)) for r in m.entries]
@@ -442,8 +477,7 @@ def test_kernel_agrees_with_gauss_jordan_oracle():
                 want = list(v)
                 for row, pc in zip(red.entries, piv):
                     c = v[pc]
-                    want = [field.sub(a, field(c * b))
-                            for a, b in zip(want, row)]
+                    want = [field(a - c * b) for a, b in zip(want, row)]
                 assert sub.reduce(v) == tuple(want)
                 inside = _oracle_span(field, list(red.entries[:rank]) + [v], n)
                 assert sub.contains(v) == (len(inside) == rank)
@@ -463,3 +497,91 @@ def test_kernel_agrees_with_gauss_jordan_oracle():
                     break
                 rows = grown
             assert spin(m.entries, gens).basis.entries == rows
+
+
+def test_solve_affine_over_q_agrees_with_gauss_jordan_oracle():
+    # rational right-hand sides: b = a x0 is feasible, and a random b is
+    # generically infeasible once a has more rows than rank
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[_rational(rng) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.5:
+            rows[-1] = [Fraction(-3, 2) * x for x in rows[0]]
+        a = mat(QQ, rows)
+        if rng.random() < 0.5:
+            b = list(a.apply([_rational(rng) for _ in range(c)]))
+        else:
+            b = [_rational(rng) for _ in range(r)]
+        red, piv, _ = gauss_jordan(Matrix(QQ, r, c + 1, tuple(
+            row + (bv,) for row, bv in zip(a.entries, b))))
+        if c in piv:
+            assert solve_affine(a, b) is None
+            kinds.add("infeasible")
+            continue
+        x = [Fraction(0)] * c
+        for i, pc in enumerate(piv):
+            x[pc] = red.entries[i][c]
+        assert solve_affine(a, b) == (tuple(x), _oracle_kernel(QQ, red, piv, c))
+        kinds.add("feasible")
+    assert kinds == {"feasible", "infeasible"}
+
+
+def test_subspace_extend_over_q_agrees_with_gauss_jordan_oracle():
+    # from a nonzero Q subspace, by vectors with denominators, zero vectors
+    # and rational multiples of the subspace's own vectors
+    rng = random.Random(43)
+    grew = set()
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        start = mat(QQ, [[_rational(rng) for _ in range(n)]
+                         for _ in range(rng.randint(1, n))]).entries
+        sub = Subspace.from_vectors(QQ, n, start)
+        assert sub.basis.entries == _oracle_span(QQ, list(start), n)
+        more = mat(QQ, [[_rational(rng) for _ in range(n)]
+                        for _ in range(rng.randint(0, 2))]
+                   + [[Fraction(-2, 3) * x for x in start[0]], [0] * n]).entries
+        got = sub.extend(more)
+        assert got.basis.entries == _oracle_span(QQ, list(start + more), n)
+        assert got == sub.add(Subspace.from_vectors(QQ, n, more))
+        grew.add(got.dim > sub.dim)
+    assert grew == {False, True}
+
+
+def test_commutant_over_q_agrees_with_gauss_jordan_oracle():
+    # g t g^-1 for block diagonal t = diag(B, B, D), so the commutant holds
+    # more than the scalars, plus a rational multiple of a generator that
+    # span_basis drops; the oracle takes the kernel of every generator's
+    # Sylvester rows.  g is unimodular (lower times upper unitriangular), so
+    # the oracle's Fractions stay small.
+    rng = random.Random(53)
+    dims = set()
+    for n in range(1, 9):
+        lower, upper = ([[1 if i == j else rng.randint(-1, 1) if (i > j) == lo else 0
+                          for j in range(n)] for i in range(n)] for lo in (True, False))
+        g = mat(QQ, lower) * mat(QQ, upper)
+        gi = g.inverse()
+        k = rng.randint(0, n // 2)
+        gens = []
+        for _ in range(2):
+            block = [[_rational(rng) for _ in range(k)] for _ in range(k)]
+            diag = [rng.choice((1, 2, Fraction(-1, 2))) for _ in range(n - 2 * k)]
+            t = [[0] * n for _ in range(n)]
+            for i in range(k):
+                t[i][:k] = block[i]
+                t[k + i][k:2 * k] = block[i]
+            for i, x in enumerate(diag):
+                t[2 * k + i][2 * k + i] = x
+            gens.append(g * mat(QQ, t) * gi)
+        gens.append(mat(QQ, [[Fraction(-5, 3) * x for x in row]
+                             for row in gens[0].entries]))
+        rows = sylvester_rows([(h, h) for h in gens])
+        red, piv, _ = gauss_jordan(Matrix(QQ, len(rows), n * n, tuple(rows)))
+        flat = _oracle_span(QQ, _oracle_kernel(QQ, red, piv, n * n), n * n)
+        want = tuple(Matrix(QQ, n, n, tuple(row[i * n:(i + 1) * n]
+                                            for i in range(n)))
+                     for row in flat)
+        assert commutant(gens) == want, n
+        dims.add(len(want))
+    assert max(dims) > 4
